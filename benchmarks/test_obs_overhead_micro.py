@@ -13,12 +13,15 @@ on every step ever run.  This benchmark holds three bars:
 2. **End-to-end overhead**: a warm cached EP=32 flat step (the exact
    steady-state workload of ``test_plan_cache_micro.py``) with no
    collector attached must stay within ``OBS_MAX_OVERHEAD`` (default
-   1.2x) of the ``flat_warm_step_ep32`` figure in the plan-cache
-   benchmark's JSON record, when that record exists on this machine.
-   This bar compares floors measured by *different processes*, so it is
-   deliberately looser than bar 1: run-to-run scheduler noise on shared
-   runners swings a 4 ms step by ~10%, while the instrumentation's true
-   cost — bounded deterministically above — is ~0.05%.
+   1.2x) of a baseline this benchmark measures itself: the same runtime
+   and batches with ``obs.span`` swapped for a stub that returns the
+   no-op span without consulting the tracer switchboard, in timing
+   windows interleaved with the instrumented ones.  (It used to read the
+   plan-cache benchmark's JSON record, which does not exist yet when this
+   file runs first on a fresh checkout — the bar was silently skipped.)
+   The bar is looser than bar 1 because scheduler noise swings a 4 ms
+   step by ~10%, while the instrumentation's true cost — bounded
+   deterministically above — is ~0.05%.
 3. **Tracing-on fidelity**: with a tracer attached, the per-step phase
    spans must account for >= 95% of each step span's wall time, the
    plan-cache resolution tier and comm per-tier byte splits must be
@@ -37,7 +40,7 @@ import os
 import time
 
 import numpy as np
-from conftest import RESULTS_DIR, print_table, write_record
+from conftest import print_table, write_record
 
 from repro.comm import CommWorld
 from repro.obs import Tracer, chrome_trace, use_tracer
@@ -54,13 +57,11 @@ ROUTER = "softmax-topk"
 PERTURB_FRACTION = 0.03
 CYCLE = 8
 
-#: allowed instrumented/baseline warm-step ratio across processes (noise
-#: bar; the span-budget bound below is the hard instrumentation-cost one).
+#: allowed instrumented/stubbed warm-step ratio (noise bar; the span-budget
+#: bound below is the hard instrumentation-cost one).
 MAX_OVERHEAD = float(os.environ.get("OBS_MAX_OVERHEAD", "1.2"))
 #: the disabled span budget may cost at most this fraction of a warm step.
 SPAN_BUDGET_FRACTION = 0.03
-
-BASELINE_RECORD = RESULTS_DIR / "plan_cache_micro.json"
 
 
 def _time(fn, repeats=9):
@@ -150,13 +151,18 @@ def _validate_chrome_trace(doc):
         assert named.get(tid, "").startswith("rank "), (tid, named.get(tid))
 
 
-def test_obs_overhead_micro():
+def _stub_span(name, category="default", **attrs):
+    """``obs.span`` with the switchboard lookup removed (the baseline)."""
+    return obs._NOOP
+
+
+def test_obs_overhead_micro(monkeypatch):
     per_call = _disabled_span_cost()
 
     warm, policy = _runtime()
     steady = _steady_batches(policy)
-    warm.run_step(steady[0], step=0)  # cold miss
-    warm.run_step(steady[0], step=0)  # fused compile happened; now warm
+    warm.run_step(steady[0], step=0)  # cold miss: compiles, then runs fused
+    warm.run_step(steady[0], step=0)  # exact hit
     counter = {"i": 0}
 
     def next_arrs():
@@ -165,15 +171,21 @@ def test_obs_overhead_micro():
         return arrs
 
     # Warm every cache tier and the CPU caches before trusting the timer,
-    # then take the best over several timing windows: the comparison below
-    # is against a figure recorded by a different process, so the estimate
-    # must be the workload's floor, not one window's draw.
+    # then take the best over several timing windows, instrumented and
+    # stubbed windows interleaved so both floors see the same machine.
     for _ in range(2 * CYCLE):
         warm.run_step(next_arrs(), step=0)
-    warm_s = min(
-        _time(lambda: warm.run_step(next_arrs(), step=0), repeats=11)[0]
-        for _ in range(3)
-    )
+    warm_windows, baseline_windows = [], []
+    for _ in range(3):
+        warm_windows.append(
+            _time(lambda: warm.run_step(next_arrs(), step=0), repeats=11)[0]
+        )
+        with monkeypatch.context() as patched:
+            patched.setattr(obs, "span", _stub_span)
+            baseline_windows.append(
+                _time(lambda: warm.run_step(next_arrs(), step=0), repeats=11)[0]
+            )
+    warm_s, baseline_s = min(warm_windows), min(baseline_windows)
 
     # --- tracing-on fidelity on a fresh runtime ----------------------------
     traced, traced_policy = _runtime()
@@ -204,7 +216,7 @@ def test_obs_overhead_micro():
     }
     assert "miss" in resolve_tiers and resolve_tiers & {"hit", "weight_patch"}
     comm_spans = [s for s in tracer.spans if s.category == "comm"]
-    assert comm_spans, "cold step must record comm spans"
+    assert len(comm_spans) == 2 * len(step_spans), "one span per flat collective"
     for span in comm_spans:
         assert span.attrs["bytes"] > 0
         assert isinstance(span.attrs["bytes_by_tier"], dict) and span.attrs[
@@ -225,23 +237,11 @@ def test_obs_overhead_micro():
         f"— more than {SPAN_BUDGET_FRACTION:.0%} of a {warm_s * 1e3:.3f} ms warm step"
     )
 
-    baseline_s = None
-    ratio = None
-    if BASELINE_RECORD.exists():
-        try:
-            baseline_s = json.loads(BASELINE_RECORD.read_text())["seconds"][
-                f"{KIND}_warm_step_ep{EP}"
-            ]
-        except (ValueError, KeyError, OSError):
-            baseline_s = None
-    if baseline_s:
-        ratio = warm_s / baseline_s
-        assert ratio <= MAX_OVERHEAD, (
-            f"instrumented warm step {warm_s * 1e3:.3f} ms is {ratio:.3f}x the "
-            f"plan-cache baseline {baseline_s * 1e3:.3f} ms (max {MAX_OVERHEAD}x)"
-        )
-    else:
-        print("note: no plan_cache_micro.json baseline — ratio bar skipped")
+    ratio = warm_s / baseline_s
+    assert ratio <= MAX_OVERHEAD, (
+        f"instrumented warm step {warm_s * 1e3:.3f} ms is {ratio:.3f}x the "
+        f"stubbed-span baseline {baseline_s * 1e3:.3f} ms (max {MAX_OVERHEAD}x)"
+    )
 
     print_table(
         f"Observability overhead (EP={EP}, {KIND}, warm cached steps)",
@@ -251,8 +251,8 @@ def test_obs_overhead_micro():
                 "spans_per_step": spans_per_step,
                 "span_budget_us": span_budget * 1e6,
                 "warm_step_ms": warm_s * 1e3,
-                "baseline_ms": (baseline_s or 0.0) * 1e3,
-                "overhead_ratio": ratio if ratio is not None else float("nan"),
+                "baseline_ms": baseline_s * 1e3,
+                "overhead_ratio": ratio,
                 "min_coverage": min(coverages),
             }
         ],
@@ -273,10 +273,10 @@ def test_obs_overhead_micro():
             "seconds": {
                 "disabled_span_call": per_call,
                 "warm_step_instrumented": round(warm_s, 6),
-                "warm_step_baseline": baseline_s,
+                "warm_step_baseline": round(baseline_s, 6),
             },
             "spans_per_warm_step": spans_per_step,
-            "overhead_ratio": None if ratio is None else round(ratio, 4),
+            "overhead_ratio": round(ratio, 4),
             "min_step_span_coverage": round(min(coverages), 4),
         },
     )

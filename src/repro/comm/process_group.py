@@ -35,18 +35,22 @@ class CommEvent:
     seconds: float
     bottleneck_tier: LinkTier
     bytes_by_tier: dict = field(default_factory=dict)
+    #: global ranks that took part (what places the event on per-rank tracks).
+    ranks: tuple = ()
 
 
 @dataclass
 class CommStats:
     """Accumulated communication statistics.
 
-    When a :class:`~repro.obs.metrics.MetricsRegistry` is attached
-    (``stats.metrics = registry``), every recorded event is also published
-    as counters — ``comm_calls{op}``, ``comm_modeled_seconds{op}``,
-    ``comm_bytes{op, tier}`` — including events replayed by the plan
-    cache's fused executor, so the registry view never undercounts warm
-    steps.
+    Recording an event also annotates the enclosing ``comm``-category obs
+    span (op, bytes, modeled seconds, per-tier byte split) and, when a
+    :class:`~repro.obs.metrics.MetricsRegistry` is attached
+    (``stats.metrics = registry``), publishes it as counters —
+    ``comm_calls{op}``, ``comm_modeled_seconds{op}``,
+    ``comm_bytes{op, tier}``.  Executed collectives and the events the
+    plan cache's fused executor prices from a plan's schedule go through
+    the same call, so neither view undercounts fused steps.
     """
 
     events: list[CommEvent] = field(default_factory=list)
@@ -56,6 +60,18 @@ class CommStats:
     def record(self, event: CommEvent) -> None:
         """Append one collective's record (and publish it, if wired)."""
         self.events.append(event)
+        span = obs.current()
+        if span is not None and span.category == "comm":
+            span.set(
+                op=event.op,
+                bytes=event.total_bytes,
+                modeled_seconds=event.seconds,
+                bottleneck_tier=event.bottleneck_tier,
+                bytes_by_tier={
+                    getattr(tier, "name", tier): float(nbytes)
+                    for tier, nbytes in event.bytes_by_tier.items()
+                },
+            )
         registry = self.metrics
         if registry is not None:
             registry.counter("comm_calls", "op").labels(op=event.op).inc()
@@ -163,8 +179,8 @@ def _comm_span(default_op: str):
     collectives — e.g. hierarchical dispatch stages — via that kwarg) and
     opens with the group's global ranks attached, which is what lets the
     Chrome-trace exporter place the event on every participating rank's
-    track.  ``_record`` fills in bytes/tier attributes from inside the
-    span.  Only the primitives that call ``_record`` are wrapped;
+    track.  ``CommStats.record`` fills in bytes/tier attributes from inside
+    the span.  Only the primitives that record an event are wrapped;
     delegating wrappers (``alltoall_single`` → ``alltoall``) inherit the
     primitive's span, so each collective traces exactly once.
     """
@@ -206,28 +222,42 @@ class ProcessGroup:
         self._global = np.asarray(ranks, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    def _record(self, op: str, traffic: np.ndarray, estimate) -> None:
-        event = CommEvent(
+    def _event(self, op: str, traffic: np.ndarray, estimate, ranks) -> CommEvent:
+        return CommEvent(
             op=op,
-            group_size=self.size,
+            group_size=len(ranks),
             total_bytes=float(np.asarray(traffic).sum()),
             seconds=estimate.seconds,
             bottleneck_tier=estimate.bottleneck_tier,
             bytes_by_tier=dict(estimate.bytes_by_tier),
+            ranks=tuple(ranks),
         )
-        self.world.stats.record(event)
-        span = obs.current()
-        if span is not None and span.category == "comm":
-            span.set(
-                op=op,
-                bytes=event.total_bytes,
-                modeled_seconds=event.seconds,
-                bottleneck_tier=event.bottleneck_tier,
-                bytes_by_tier={
-                    getattr(tier, "name", tier): float(nbytes)
-                    for tier, nbytes in event.bytes_by_tier.items()
-                },
-            )
+
+    def _record(self, op: str, traffic: np.ndarray, estimate) -> None:
+        self.world.stats.record(self._event(op, traffic, estimate, self.ranks))
+
+    def account_alltoallv(
+        self,
+        splits_mat: np.ndarray,
+        row_bytes,
+        *,
+        op_name: str = "alltoallv",
+        members: np.ndarray | None = None,
+    ) -> CommEvent:
+        """Price one planned uneven all-to-all from its splits alone.
+
+        ``splits_mat[i, j]`` rows of ``row_bytes`` bytes (a scalar, or one
+        value per sender) go from participant ``i`` to participant ``j``;
+        the participants are this group's ranks, or the group-local
+        ``members`` of a sub-communicator.  No data moves and nothing is
+        recorded: the returned :class:`CommEvent` is exactly what
+        :meth:`alltoallv_planned` records for the same splits, which is
+        what lets a plan's comm cost be derived before it executes.
+        """
+        ranks = self._global if members is None else self._global[members]
+        traffic = splits_mat * np.asarray(row_bytes, dtype=np.float64).reshape(-1, 1)
+        estimate = self.world.network.alltoall_time(traffic, ranks)
+        return self._event(op_name, traffic, estimate, ranks.tolist())
 
     def _charge_memory(self, local_rank: int, tag: str, arrays) -> None:
         if not self.world.track_memory:
@@ -339,8 +369,9 @@ class ProcessGroup:
         """Uneven all-to-all whose splits come from a precomputed routing plan.
 
         Unlike :meth:`alltoallv`, the per-pair byte/tier accounting is
-        computed directly from the plan's splits (``rows x row_bytes``)
-        instead of being re-derived from per-chunk payloads.  When
+        computed directly from the plan's splits (``rows x row_bytes``,
+        through :meth:`account_alltoallv`) instead of being re-derived
+        from per-chunk payloads.  When
         ``recv_splits`` is provided it is validated against the send-split
         transpose (catching stale plans) and returned as-is.  Semantics
         are identical: rank ``i`` sends the first ``send_splits[i][0]``
@@ -376,9 +407,9 @@ class ProcessGroup:
                 "recv_splits do not match the transpose of send_splits "
                 "(stale or mismatched plan)"
             )
-        traffic = splits_mat * row_bytes[:, None]
-        estimate = self.world.network.alltoall_time(traffic, self._global)
-        self._record(op_name, traffic, estimate)
+        self.world.stats.record(
+            self.account_alltoallv(splits_mat, row_bytes, op_name=op_name)
+        )
 
         offsets = np.concatenate(
             [np.zeros((size, 1), dtype=np.int64), np.cumsum(splits_mat, axis=1)],

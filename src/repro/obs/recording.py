@@ -42,9 +42,10 @@ def record_routing_run(
 
     The first step is a cold plan-cache miss; later steps replay the same
     batches with ~1e-9 score drift, so the recorded trace contains every
-    resolution tier the steady state produces (miss → fused compile →
-    hit / weight-patch) plus the cold step's real collectives with their
-    per-tier byte attributes.  ``capacity_factor=None`` runs the paper's
+    resolution tier the steady state produces (miss + fused compile →
+    hit / weight-patch), every step running the fused program with one
+    comm span per derived collective carrying its per-tier byte
+    attributes.  ``capacity_factor=None`` runs the paper's
     padding-free uncapped pipeline; pass a factor to exercise capacity
     drops.  All randomness derives from ``seed``, so a recording is
     exactly reproducible.

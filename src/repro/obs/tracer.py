@@ -119,8 +119,8 @@ class Tracer:
     relative to it, so traces start at t=0).  The tracer keeps one open-span
     stack — spans nest by runtime call order, and :meth:`current` exposes
     the innermost open span so instrumentation deep in the call tree (the
-    comm layer's ``_record``) can attach attributes to the span its caller
-    opened.
+    comm layer's ``CommStats.record``) can attach attributes to the span
+    its caller opened.
     """
 
     def __init__(self) -> None:

@@ -38,10 +38,11 @@ front of their experts", split into two orthogonal layers:
     (order-insensitive digests over the stacked decision arrays) and
     resolves it against a bounded LRU: exact hit, weight-only patch,
     incremental structural patch, or cold build — every tier bit-identical
-    to building from scratch.  Warm entries carry a fused
-    :class:`ExecProgram` that replaces the engine's dispatch + combine
-    with whole-array gathers and strided folds; wire it in via
-    ``StepRuntime(plan_cache=...)``.
+    to building from scratch.  Every entry compiles, before it first
+    runs, to a fused :class:`ExecProgram` that replaces the engine's
+    dispatch + combine with whole-array gathers and strided folds and
+    prices its collectives from ``DispatchPlan.comm_schedule()``; wire it
+    in via ``StepRuntime(plan_cache=...)``.
 
 **Telemetry — what actually happened** (:mod:`repro.routing.telemetry`)
     :class:`RoutingTelemetry` accumulates per-expert load histograms, drop

@@ -30,7 +30,12 @@ import numpy as np
 
 from repro.comm.process_group import ProcessGroup
 from repro.config.parallel_config import DISPATCH_KINDS
-from repro.routing.plan import DispatchPlan
+from repro.routing.plan import (
+    _OP_NAMES,
+    HIER_COMBINE_OPS,
+    HIER_DISPATCH_OPS,
+    DispatchPlan,
+)
 from repro.routing.planner import (
     FlatPlanner,
     HierarchicalPlanner,
@@ -38,18 +43,6 @@ from repro.routing.planner import (
     _PlannerBase,
 )
 
-
-#: op names recorded in CommStats per plan kind:
-#: (stage-1 dispatch, stage-2 replicas, combine stage C1, combine stage C2)
-_OP_NAMES = {
-    "flat": ("dispatch_a2a", None, None, "combine_a2a"),
-    "rbd": ("rbd_s1_a2a", "rbd_s2_a2a", "rbd_c1_a2a", "rbd_c2_a2a"),
-}
-
-#: op names for the hierarchical hops (dispatch gather/inter/scatter and
-#: their combine-side reversals).
-HIER_DISPATCH_OPS = ("hier_gather_a2a", "hier_inter_a2a", "hier_scatter_a2a")
-HIER_COMBINE_OPS = ("hier_c_gather_a2a", "hier_c_inter_a2a", "hier_c_scatter_a2a")
 
 #: dispatch-side op names per plan kind (what the tier-byte benchmarks read).
 DISPATCH_OPS = {
@@ -95,8 +88,16 @@ class Dispatcher(Protocol):
         per_rank_expert_outputs: list[np.ndarray],
         plan: DispatchPlan,
         num_tokens_per_rank: list[int],
+        *,
+        program=None,
+        workspace=None,
     ) -> list[np.ndarray]:
-        """Return weighted expert outputs to their source token positions."""
+        """Return weighted expert outputs to their source token positions.
+
+        With the plan's compiled ``program`` the combine is its fused fold
+        (``workspace`` supplying the scratch arenas) instead of the plan's
+        hop-by-hop interpretation.
+        """
         ...
 
 
@@ -289,8 +290,20 @@ class PlanDispatcher:
         per_rank_expert_outputs: list[np.ndarray],
         plan: DispatchPlan,
         num_tokens_per_rank: list[int],
+        *,
+        program=None,
+        workspace=None,
     ) -> list[np.ndarray]:
-        """Weighted combine, reversing the dispatch stages of the plan."""
+        """Weighted combine, reversing the dispatch stages of the plan.
+
+        Given the plan's compiled ``program`` (an
+        :class:`~repro.routing.plan_cache.ExecProgram`), the combine is the
+        program's fused fold — no collective executes — with ``workspace``
+        supplying its scratch arenas; otherwise the plan is interpreted hop
+        by hop.
+        """
+        if program is not None:
+            return program.run_combine(per_rank_expert_outputs, workspace=workspace)
         size = self.group.size
         hidden = per_rank_expert_outputs[0].shape[1]
         dtype = per_rank_expert_outputs[0].dtype

@@ -30,6 +30,15 @@ inter-node exchange, intra-node scatter to the owning expert rank).  The
 the pieces with the same shape (``send_rows`` = deduplicated rows leaving
 each source, ``send_splits``/``recv_splits`` = the leader-to-leader
 exchange matrix).
+
+Collective schedule
+-------------------
+:meth:`DispatchPlan.comm_schedule` lists every collective that executing
+the plan issues — dispatch then combine — as ``(op name, member ranks,
+send-split matrix)`` in the engine's call order.  It is what lets the
+comm cost of a step be *derived from the plan* (splits × row bytes through
+the network model) instead of observed from an execution: the fused
+executor prices its ``CommEvent`` list from it before any data moves.
 """
 
 from __future__ import annotations
@@ -39,6 +48,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.topology import LinkTier
+
+#: op names recorded in CommStats per plan kind:
+#: (stage-1 dispatch, stage-2 replicas, combine stage C1, combine stage C2)
+_OP_NAMES = {
+    "flat": ("dispatch_a2a", None, None, "combine_a2a"),
+    "rbd": ("rbd_s1_a2a", "rbd_s2_a2a", "rbd_c1_a2a", "rbd_c2_a2a"),
+}
+
+#: op names for the hierarchical hops (dispatch gather/inter/scatter and
+#: their combine-side reversals).
+HIER_DISPATCH_OPS = ("hier_gather_a2a", "hier_inter_a2a", "hier_scatter_a2a")
+HIER_COMBINE_OPS = ("hier_c_gather_a2a", "hier_c_inter_a2a", "hier_c_scatter_a2a")
 
 
 @dataclass
@@ -170,6 +191,47 @@ class DispatchPlan:
             "stage1_bytes": float(self.total_pilots * row_bytes),
             "stage2_bytes": float(self.num_replicas * row_bytes),
         }
+
+    def comm_schedule(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """Every collective dispatch + combine issue, in the engine's order.
+
+        One ``(op_name, members, send_splits)`` entry per planned uneven
+        all-to-all: ``members`` are the group-local ranks taking part (the
+        whole group, or one node's members — node subgroups in ascending
+        node order, as the engine visits them) and ``send_splits[i, j]``
+        is the rows ``members[i]`` sends to ``members[j]``.  Combine hops
+        reverse their dispatch hop, so they send what that hop received.
+        """
+        everyone = np.arange(self.size)
+
+        def whole(op: str, splits: list) -> list:
+            """One all-to-all over the whole group."""
+            return [(op, everyone, np.stack(splits))]
+
+        def per_node(op: str, splits: list) -> list:
+            """One all-to-all per node subgroup, nodes ascending."""
+            return [
+                (op, members, np.stack([splits[m] for m in members]))
+                for members in self.node_members
+            ]
+
+        if self.kind == "hier":
+            gather, inter, scatter = HIER_DISPATCH_OPS
+            c_gather, c_inter, c_scatter = HIER_COMBINE_OPS
+            return (
+                per_node(gather, self.hA_send_splits)
+                + whole(inter, self.send_splits)
+                + per_node(scatter, self.hC_send_splits)
+                + per_node(c_gather, self.hC_recv_splits)
+                + whole(c_inter, self.recv_splits)
+                + per_node(c_scatter, self.hA_recv_splits)
+            )
+        s1, s2, c1, c2 = _OP_NAMES[self.kind]
+        schedule = whole(s1, self.send_splits)
+        if s2 is not None:
+            schedule += per_node(s2, self.s2_send_splits)
+            schedule += per_node(c1, self.s2_recv_splits)
+        return schedule + whole(c2, self.recv_splits)
 
     def validate(self) -> None:
         """Internal-consistency checks (used by the test suite)."""

@@ -40,16 +40,19 @@ cheap without changing a single output bit:
   4. **cold build** — the exact fallback whenever the delta is large or
      any invariant cannot be preserved.
 
-* :class:`ExecProgram` — a kind-independent fused step executor compiled
-  once per cache entry.  Dispatch becomes one global gather in the
+* :class:`ExecProgram` — a kind-independent fused step executor, compiled
+  once per cache entry *before* the entry first executes: what a plan
+  compiles to, cold or warm.  Dispatch becomes one global gather in the
   canonical ``(dest, expert, src, token)`` order; combine becomes one
-  gather + weight multiply followed by two position-strided segmented
-  folds that replay ``np.add.at``'s sequential accumulation order exactly
-  (``reduceat`` does **not** accumulate sequentially and is therefore
-  unusable here); the step's collectives are replayed from
-  :class:`~repro.comm.process_group.CommEvent` templates captured from one
-  cold execution (the network model is deterministic, so the replayed
-  seconds/bytes/tiers are exactly what the collectives would record).
+  scatter into fold order + weight multiply followed by two
+  position-strided segmented folds that replay ``np.add.at``'s sequential
+  accumulation order exactly (``reduceat`` does **not** accumulate
+  sequentially and is therefore unusable here); the step's collectives
+  are :class:`~repro.comm.process_group.CommEvent` records priced from the
+  plan's own :meth:`~repro.routing.plan.DispatchPlan.comm_schedule`
+  through the same accounting the executing collectives use (the network
+  model is deterministic, so the derived seconds/bytes/tiers are exactly
+  what the engine would record).
   Every plan kind (flat, RBD, hierarchical) folds each token's output over
   the same association tree — per ``(token, node)`` partial groups in
   node-ascending order, contributions expert-ascending within a group —
@@ -218,13 +221,13 @@ class ExecProgram:
     tok_off: np.ndarray  # [R + 1] stacked token-row offsets per rank
     dest_off: np.ndarray  # [R + 1] canonical-slot offsets per dest rank
     disp_gather: np.ndarray  # stacked token row per canonical slot
-    fold_gather: np.ndarray  # canonical slot per fold slot
+    fold_scatter: np.ndarray  # fold slot per canonical slot
     fold_w: np.ndarray  # combine weight per fold slot
     fold_pft_rows: np.ndarray  # global PFT row per fold slot (weight patching)
     num_groups: int  # (src, token, node) partial groups
     l1_passes: list  # [(group idx, fold slot)] per within-group position
     l2_passes: list  # [(output row, group idx)] per within-token position
-    comm_events: tuple = ()  # CommEvent templates captured from a cold run
+    comm_events: tuple = ()  # CommEvents priced from the plan's comm schedule
 
     @classmethod
     def build(
@@ -269,14 +272,14 @@ class ExecProgram:
         dest_counts = np.bincount(dest, minlength=num_ranks)
         dest_off = np.concatenate([[0], np.cumsum(dest_counts)]).astype(np.int64)
         disp_gather = tok_off[src[canon]] + tok[canon]
-        inv_canon = np.empty(rows, dtype=np.int64)
-        inv_canon[canon] = np.arange(rows, dtype=np.int64)
 
         # Fold order (src, token, node, expert): the shared combine
         # association tree of the flat / RBD / hierarchical slow paths.
         group_key = (src * token_base + tok) * num_nodes + node
         fold_perm = np.argsort(group_key * num_experts + exp, kind="stable")
-        fold_gather = inv_canon[fold_perm]
+        fold_pos = np.empty(rows, dtype=np.int64)
+        fold_pos[fold_perm] = np.arange(rows, dtype=np.int64)
+        fold_scatter = fold_pos[canon]
         fold_w = wgt[fold_perm]
         gk_sorted = group_key[fold_perm]
 
@@ -307,7 +310,7 @@ class ExecProgram:
             tok_off=tok_off,
             dest_off=dest_off,
             disp_gather=disp_gather,
-            fold_gather=fold_gather,
+            fold_scatter=fold_scatter,
             fold_w=fold_w,
             fold_pft_rows=fold_perm,
             num_groups=int(num_groups),
@@ -355,7 +358,7 @@ class ExecProgram:
             raise AssertionError("fused partial groups do not cover the plan")
 
     # ------------------------------------------------------------------
-    def run_dispatch(self, stacked_tokens: np.ndarray) -> tuple[list, np.ndarray]:
+    def run_dispatch(self, stacked_tokens: np.ndarray) -> list:
         """One global gather: per-dest expert input buffers in canonical order.
 
         ``stacked_tokens`` is the ``(total_tokens, hidden)`` stack of every
@@ -366,40 +369,37 @@ class ExecProgram:
         return [
             big[self.dest_off[d] : self.dest_off[d + 1]]
             for d in range(self.dest_off.size - 1)
-        ], big
+        ]
 
-    def run_combine(self, stacked_outputs: np.ndarray, *, workspace=None) -> list:
-        """Fused weighted combine: gather → two strided sequential folds.
+    def run_combine(self, expert_outputs: list, *, workspace=None) -> list:
+        """Fused weighted combine: scatter → two strided sequential folds.
 
-        ``stacked_outputs`` concatenates every destination's expert output
-        buffer in canonical order.  Both folds replay the slow path's
-        ``np.add.at`` association order exactly: contributions fold into
-        per-(token, node) partials expert-ascending, partials fold into
-        tokens node-ascending, each accumulation starting from ``+0.0``.
+        ``expert_outputs[d]`` is destination ``d``'s expert output buffer
+        in canonical order; each is scattered straight into fold order
+        (the stack of them is only a row permutation away, so it is never
+        materialized).  Both folds replay the slow path's ``np.add.at``
+        association order exactly: contributions fold into per-(token,
+        node) partials expert-ascending, partials fold into tokens
+        node-ascending, each accumulation starting from ``+0.0``.
         ``workspace`` (a :class:`repro.runtime.StepWorkspace`-like object
-        with ``scratch``) optionally supplies the fold-values arena.
+        with ``scratch``) optionally supplies the fold arenas.
         """
-        hidden = stacked_outputs.shape[1] if stacked_outputs.ndim == 2 else 0
+        hidden, dtype = expert_outputs[0].shape[1], expert_outputs[0].dtype
+        vals_shape = (self.fold_scatter.size, hidden)
+        partials_shape = (self.num_groups, hidden)
         if workspace is not None:
-            vals = workspace.scratch(
-                "fused_fold_vals", (self.fold_gather.size, hidden),
-                dtype=stacked_outputs.dtype,
-            )
-            # mode="clip" takes numpy's buffered fast path; the indices are
-            # in-bounds by construction, so clipping never fires.
-            np.take(stacked_outputs, self.fold_gather, axis=0, out=vals, mode="clip")
-            partials = workspace.scratch(
-                "fused_fold_partials", (self.num_groups, hidden),
-                dtype=stacked_outputs.dtype,
-            )
-            partials.fill(0.0)
+            vals = workspace.scratch("fused_fold_vals", vals_shape, dtype=dtype)
+            partials = workspace.scratch("fused_fold_partials", partials_shape, dtype=dtype)
         else:
-            vals = stacked_outputs[self.fold_gather]
-            partials = np.zeros((self.num_groups, hidden), dtype=stacked_outputs.dtype)
+            vals = np.empty(vals_shape, dtype=dtype)
+            partials = np.empty(partials_shape, dtype=dtype)
+        for d, buf in enumerate(expert_outputs):
+            vals[self.fold_scatter[self.dest_off[d] : self.dest_off[d + 1]]] = buf
         vals *= self.fold_w[:, None]
+        partials.fill(0.0)
         for grp_sel, fold_rows in self.l1_passes:
             partials[grp_sel] += vals[fold_rows]
-        out = np.zeros((int(self.tok_off[-1]), hidden), dtype=stacked_outputs.dtype)
+        out = np.zeros((int(self.tok_off[-1]), hidden), dtype=dtype)
         for out_sel, grp_rows in self.l2_passes:
             out[out_sel] += partials[grp_rows]
         return [
@@ -408,17 +408,19 @@ class ExecProgram:
         ]
 
     def replay_comm(self, stats) -> None:
-        """Re-record the step's captured collectives into ``CommStats``.
+        """Record the step's derived collectives into ``CommStats``.
 
         The network model is deterministic (congestion sampling off), so
-        the cold run's events are exactly what the collectives would record
-        again; replaying them keeps byte/tier/seconds accounting honest
-        while skipping the data movement itself.
+        the events priced from the plan's schedule are exactly what the
+        collectives would record; recording them keeps byte/tier/seconds
+        accounting honest while skipping the data movement itself.  Each
+        event records inside its own ``comm`` span carrying the
+        participating ranks, so traces keep their per-rank comm tracks and
+        byte tables on fused steps.
         """
-        if stats is None:
-            return
         for event in self.comm_events:
-            stats.record(event)
+            with obs.span(event.op, "comm", ranks=event.ranks):
+                stats.record(event)
 
     def with_fold_weights(self, pft_weights: np.ndarray) -> "ExecProgram":
         """A weight-patched copy: new fold weights, shared index maps."""
@@ -474,8 +476,10 @@ class Resolution:
     ``outcome`` is ``"hit"`` (exact reuse), ``"weight_patch"`` (same
     structure, re-gathered weights), ``"patch"`` (incremental structural
     patch + recompile), or ``"miss"`` (cold build).  ``exec_program`` is
-    ``None`` until the entry's fused executor has been compiled (the
-    runtime attaches it after the entry's first slow-path execution).
+    ``None`` while the entry's fused executor has not been compiled: a
+    fresh (miss / patch) entry, or one only ever run through the engine
+    fallback.  The runtime compiles it (:meth:`PlanCache.attach_exec`)
+    before the step executes.
     """
 
     pfts: list
@@ -559,8 +563,8 @@ class PlanCache:
         ``dispatcher`` is the :class:`~repro.routing.engine.PlanDispatcher`
         whose planner defines the plan kind, placement, and (for RBD) the
         step-salted RNG; ``row_signature`` keys anything the cached
-        executor's comm replay depends on beyond the token counts (hidden
-        width and payload dtype).
+        executor's derived comm events depend on beyond the plan's splits
+        (hidden width and payload dtype).
         """
         from repro.routing.policies import RoutingDecision
 
@@ -608,17 +612,31 @@ class PlanCache:
         self.misses += 1
         return Resolution(pfts, plan, None, "miss", entry)
 
-    def attach_exec(self, entry: _CacheEntry, *, tokens_per_rank, comm_events=()):
-        """Compile and attach the fused executor after a cold execution.
+    def attach_exec(self, entry: _CacheEntry, *, group, tokens_per_rank, row_bytes):
+        """Compile and attach the entry's fused executor before it first runs.
 
-        Called by the runtime once the entry's first step has run through
-        the full engine (which is when the comm-event templates exist).
+        The program's comm events are priced from the plan's
+        :meth:`~repro.routing.plan.DispatchPlan.comm_schedule` over
+        ``group`` (the dispatcher's process group) at ``row_bytes`` per
+        payload row — the accounting the engine's collectives use, with no
+        data moved.  The program attaches only once fully built; a compile
+        that raises drops the entry, so a retry is a clean miss rather
+        than a hit on a plan that cannot compile.
         """
-        if entry.exec_program is not None:
-            return entry.exec_program
-        entry.exec_program = ExecProgram.build(
-            entry.pfts, entry.plan, tokens_per_rank, comm_events=comm_events
-        )
+        if entry.exec_program is None:
+            try:
+                comm_events = tuple(
+                    group.account_alltoallv(
+                        splits, row_bytes, op_name=op, members=members
+                    )
+                    for op, members, splits in entry.plan.comm_schedule()
+                )
+                entry.exec_program = ExecProgram.build(
+                    entry.pfts, entry.plan, tokens_per_rank, comm_events=comm_events
+                )
+            except BaseException:
+                self._forget(entry)
+                raise
         return entry.exec_program
 
     # ------------------------------------------------------------------
@@ -650,15 +668,20 @@ class PlanCache:
         self._entries.move_to_end(entry.key)
         self._last_by_context[entry.context] = entry
 
+    def _forget(self, entry: _CacheEntry) -> None:
+        """Remove ``entry`` from the LRU and both side indexes."""
+        if self._entries.get(entry.key) is entry:
+            del self._entries[entry.key]
+        skey = entry.context + (entry.sig.structure_digest,)
+        if self._by_structure.get(skey) is entry:
+            del self._by_structure[skey]
+        if self._last_by_context.get(entry.context) is entry:
+            del self._last_by_context[entry.context]
+
     def _evict_to_bound(self) -> None:
         while len(self._entries) > self.maxsize:
-            _, evicted = self._entries.popitem(last=False)
+            self._forget(next(iter(self._entries.values())))
             self.evictions += 1
-            skey = evicted.context + (evicted.sig.structure_digest,)
-            if self._by_structure.get(skey) is evicted:
-                del self._by_structure[skey]
-            if self._last_by_context.get(evicted.context) is evicted:
-                del self._last_by_context[evicted.context]
 
     # ------------------------------------------------------------------
     def _store(self, key, context, sig, pfts, plan, capacity) -> _CacheEntry:

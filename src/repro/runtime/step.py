@@ -27,14 +27,17 @@ for telemetry, byte accounting, and future tracing consumers: every
 executed step emits one trace object to every registered hook.
 
 With a :class:`~repro.routing.plan_cache.PlanCache` attached
-(``plan_cache=``), the runtime additionally skips the PFT build + plan
-compile on warm steps and — once a cache entry's fused
-:class:`~repro.routing.plan_cache.ExecProgram` has been compiled from its
-first cold execution — runs the whole dispatch/experts/combine back half
-through a handful of whole-array gathers and strided folds, bit-identical
-to the engine path (comm accounting is replayed from the captured event
-templates).  The fused path only engages for float64 payloads on worlds
-without memory tracking; anything else transparently runs the engine.
+(``plan_cache=``), the runtime skips the PFT build + plan compile on warm
+steps, and every step — miss or hit — runs *compile, then run fused*: the
+resolved entry's :class:`~repro.routing.plan_cache.ExecProgram` is
+compiled if it has none, then drives the whole dispatch/experts/combine
+back half through a handful of whole-array gathers and strided folds,
+bit-identical to the engine path (comm accounting is derived from the
+plan's splits, not captured from an execution).  The engine stays as the
+oracle — every ``plan_cache=None`` runtime — and as the fallback for
+payloads the fused program cannot serve (non-float64, or a world with
+memory tracking); a fallback is counted in the obs registry
+(``step_engine_fallback_total{reason}``) and named on the step span.
 """
 
 from __future__ import annotations
@@ -64,16 +67,20 @@ class StepWorkspace:
     allocations alive across steps (they are re-used in place whenever the
     requested shape matches, and transparently re-grown when it does not),
     so a steady-state drive loop performs no per-step buffer allocation for
-    the stacked route stage.
+    the stacked route stage.  ``scratch_reuses`` / ``scratch_regrows`` count
+    how the named scratch arenas fared (both surface in
+    ``StepTrace.cache_stats``).
     """
 
     def __init__(self) -> None:
         self._hidden: np.ndarray | None = None
         self._logits: np.ndarray | None = None
         self._scratch: dict[str, np.ndarray] = {}
+        self._scratch_last: dict[str, tuple] = {}
         self.hidden_reuses = 0
         self.logits_reuses = 0
         self.scratch_reuses = 0
+        self.scratch_regrows = 0
 
     def _buffer(self, current: np.ndarray | None, rows: int, cols: int):
         shape = (rows, cols)
@@ -94,19 +101,29 @@ class StepWorkspace:
         return self._logits
 
     def scratch(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        """A named reusable scratch arena (re-grown on shape/dtype change).
+        """A named scratch arena, parked for reuse once its shape is stable.
 
-        The fused plan-cache execution path parks its per-step intermediate
-        blocks here (stacked tokens, expert-output stack, fold values) so
-        warm steps stop re-allocating them; contents are unspecified until
-        the caller fills the array.
+        The fused plan-cache execution path takes its per-step intermediate
+        blocks here (stacked tokens, fold values, fold partials) so
+        steady-state steps stop re-allocating them; contents are
+        unspecified until the caller fills the array.  A request that does
+        not match the parked arena allocates afresh (a *re-grow*), and the
+        new buffer is parked only if the previous request asked for the
+        same shape: an arena whose shape changes every step (fresh routing,
+        ragged serving batches) would otherwise be re-allocated each step,
+        never reused, and still pinned between steps.
         """
+        key = (tuple(shape), np.dtype(dtype))
         buf = self._scratch.get(name)
-        if buf is not None and buf.shape == tuple(shape) and buf.dtype == dtype:
+        if buf is not None and (buf.shape, buf.dtype) == key:
             self.scratch_reuses += 1
             return buf
-        buf = np.empty(shape, dtype=dtype)
-        self._scratch[name] = buf
+        self.scratch_regrows += 1
+        self._scratch.pop(name, None)  # released before the new allocation
+        buf = np.empty(key[0], dtype=key[1])
+        if self._scratch_last.get(name) == key:
+            self._scratch[name] = buf
+        self._scratch_last[name] = key
         return buf
 
 
@@ -131,7 +148,8 @@ class StepTrace:
     #: plan-cache resolution for this step ("hit" / "weight_patch" /
     #: "patch" / "miss"), or None when the runtime has no cache attached.
     cache_outcome: str | None = None
-    #: snapshot of the cache's cumulative counters after this step.
+    #: snapshot of the cache's cumulative counters after this step, plus
+    #: the workspace's cumulative ``scratch_reuses`` / ``scratch_regrows``.
     cache_stats: dict = field(default_factory=dict)
     #: whether the back half ran through the fused ExecProgram.
     fused: bool = False
@@ -228,8 +246,9 @@ class StepRuntime:
         each step's routing decisions are fingerprinted and resolved
         through the cache (exact hit / weight patch / incremental patch /
         cold build) instead of always rebuilding PFTs and the plan, and
-        warm steps with a compiled fused executor skip the engine's
-        dispatch/combine entirely — bit-identically.
+        every step the fused executor can serve compiles the entry's
+        program (if it has none yet) and runs it instead of the engine's
+        dispatch/combine — bit-identically.
     """
 
     def __init__(
@@ -304,6 +323,11 @@ class StepRuntime:
             arrays = [np.asarray(h) for h in per_rank_hidden]
             if not arrays:
                 raise ValueError("need at least one rank's hidden states")
+            tokens_per_rank = [int(h.shape[0]) for h in arrays]
+            # Payload sizing derives from the actual token dtype — a
+            # float32 payload halves the byte accounting instead of
+            # silently lying.
+            row_bytes = int(arrays[0].shape[1] * arrays[0].dtype.itemsize)
 
             resolution: Resolution | None = None
             if self.plan_cache is None:
@@ -320,63 +344,54 @@ class StepRuntime:
                         decisions,
                         dispatcher=self.dispatcher,
                         capacity=self.capacity,
-                        tokens_per_rank=[int(h.shape[0]) for h in arrays],
+                        tokens_per_rank=tokens_per_rank,
                         row_signature=(int(arrays[0].shape[1]), arrays[0].dtype.str),
                         step=step,
                     )
                     resolve_span.set(cache_tier=resolution.outcome)
                 pfts, plan = resolution.pfts, resolution.plan
 
-            fusable = resolution is not None and self._fusable(arrays)
-            if fusable and resolution.exec_program is not None:
+            fallback = None if resolution is None else self._engine_fallback(arrays)
+            fused = resolution is not None and fallback is None
+            if fused:
+                program = resolution.exec_program
+                first_run = program is None
+                if first_run:
+                    with obs.span("fused_compile", "step"):
+                        program = self.plan_cache.attach_exec(
+                            resolution.entry,
+                            group=self.dispatcher.group,
+                            tokens_per_rank=tokens_per_rank,
+                            row_bytes=row_bytes,
+                        )
                 with obs.span("fused_replay", "step"):
                     expert_inputs, expert_outputs, outputs = self._run_fused(
-                        resolution.exec_program, arrays, plan
+                        program, arrays, plan, tokens_per_rank, first_run
                     )
-                fused = True
             else:
-                stats = self.dispatcher.group.world.stats
-                events_before = len(stats.events)
+                if fallback is not None:
+                    step_span.set(engine_fallback=fallback)
+                    registry = self.dispatcher.group.world.stats.metrics
+                    if registry is not None:
+                        registry.counter(
+                            "step_engine_fallback_total", "reason"
+                        ).labels(reason=fallback).inc()
                 with obs.span("dispatch", "step"):
                     expert_inputs, _ = self.dispatcher.dispatch(
                         arrays, pfts, plan=plan, step=step
                     )
                 with obs.span("experts", "step"):
-                    if self.expert_weights is not None:
-                        per_rank_w1, per_rank_w2 = self.expert_weights
-                        expert_outputs = self.dispatcher.run_experts(
-                            expert_inputs, plan, per_rank_w1, per_rank_w2,
-                            activation=self.activation,
-                        )
-                    else:
-                        # Identity experts: exercises dispatch + combine with
-                        # the dispatched rows (the validation drivers' mode).
-                        expert_outputs = [buf.copy() for buf in expert_inputs]
+                    expert_outputs = self._run_experts(expert_inputs, plan)
                 with obs.span("combine", "step"):
                     outputs = self.dispatcher.combine(
-                        expert_outputs, plan, [h.shape[0] for h in arrays]
+                        expert_outputs, plan, tokens_per_rank
                     )
-                fused = False
-                if fusable and resolution.exec_program is None:
-                    # First engine-path execution of this cache entry: compile
-                    # the fused program and capture the step's comm events as
-                    # replay templates for future warm runs.
-                    with obs.span("fused_compile", "step"):
-                        self.plan_cache.attach_exec(
-                            resolution.entry,
-                            tokens_per_rank=[int(h.shape[0]) for h in arrays],
-                            comm_events=tuple(stats.events[events_before:]),
-                        )
 
             with obs.span("finalize", "step"):
-                # Payload sizing derives from the actual token dtype — a
-                # float32 payload halves the byte accounting instead of
-                # silently lying.
-                row_bytes = int(arrays[0].shape[1] * arrays[0].dtype.itemsize)
                 trace = StepTrace(
                     step=step,
                     num_ranks=len(arrays),
-                    tokens_per_rank=[int(h.shape[0]) for h in arrays],
+                    tokens_per_rank=tokens_per_rank,
                     row_bytes=row_bytes,
                     decisions=decisions,
                     pfts=pfts,
@@ -386,7 +401,13 @@ class StepRuntime:
                         resolution.outcome if resolution is not None else None
                     ),
                     cache_stats=(
-                        self.plan_cache.stats() if self.plan_cache is not None else {}
+                        {
+                            **self.plan_cache.stats(),
+                            "scratch_reuses": self.workspace.scratch_reuses,
+                            "scratch_regrows": self.workspace.scratch_regrows,
+                        }
+                        if self.plan_cache is not None
+                        else {}
                     ),
                     fused=fused,
                 )
@@ -423,17 +444,31 @@ class StepRuntime:
         )
 
     # ------------------------------------------------------------------
-    def _fusable(self, arrays: list[np.ndarray]) -> bool:
-        """Whether this step may run through the fused cached executor.
+    def _engine_fallback(self, arrays: list[np.ndarray]) -> str | None:
+        """Why this step cannot run the fused program (``None``: it can).
 
-        The fused path gathers float64 rows verbatim and replays comm
-        accounting from event templates, so it requires a float64 payload
+        The fused path gathers float64 rows verbatim and derives its comm
+        accounting from the plan's splits, so it requires a float64 payload
         (routing's internal dtype — anything else would change what the
-        engine dispatches) and a world without memory tracking (replay does
-        not charge simulated device buffers).
+        engine dispatches; reason ``"dtype"``) and a world without memory
+        tracking (derived events do not charge simulated device buffers;
+        reason ``"track_memory"``).
         """
-        return all(a.dtype == np.float64 for a in arrays) and not (
-            self.dispatcher.group.world.track_memory
+        if not all(a.dtype == np.float64 for a in arrays):
+            return "dtype"
+        if self.dispatcher.group.world.track_memory:
+            return "track_memory"
+        return None
+
+    def _run_experts(self, expert_inputs: list[np.ndarray], plan) -> list[np.ndarray]:
+        """The grouped expert GEMMs, or identity experts without weights."""
+        if self.expert_weights is None:
+            # Identity experts: exercises dispatch + combine with the
+            # dispatched rows (the validation drivers' mode).
+            return [buf.copy() for buf in expert_inputs]
+        per_rank_w1, per_rank_w2 = self.expert_weights
+        return self.dispatcher.run_experts(
+            expert_inputs, plan, per_rank_w1, per_rank_w2, activation=self.activation
         )
 
     def _stacked_tokens(self, arrays: list[np.ndarray]) -> np.ndarray:
@@ -459,24 +494,24 @@ class StepRuntime:
         np.concatenate(arrays, axis=0, out=stacked)
         return stacked
 
-    def _run_fused(self, program, arrays: list[np.ndarray], plan):
-        """Drive one warm step through the cached fused executor."""
-        expert_inputs, big = program.run_dispatch(self._stacked_tokens(arrays))
-        if self.expert_weights is not None:
-            per_rank_w1, per_rank_w2 = self.expert_weights
-            expert_outputs = self.dispatcher.run_experts(
-                expert_inputs, plan, per_rank_w1, per_rank_w2,
-                activation=self.activation,
+    def _run_fused(self, program, arrays, plan, tokens_per_rank, first_run: bool):
+        """Drive one step's back half through the entry's fused program.
+
+        The step that compiled the program (``first_run``) enters its
+        combine through ``Dispatcher.combine(program=...)``, warm steps call
+        the program directly — same fused fold either way.  The split is
+        pinned from outside: ``bench/`` (frozen for this change) expects a
+        cold step to cross the dispatcher's ``combine`` boundary and a warm
+        step never to.
+        """
+        expert_inputs = program.run_dispatch(self._stacked_tokens(arrays))
+        expert_outputs = self._run_experts(expert_inputs, plan)
+        if first_run:
+            outputs = self.dispatcher.combine(
+                expert_outputs, plan, tokens_per_rank,
+                program=program, workspace=self.workspace,
             )
-            stacked_out = self.workspace.scratch("fused_expert_outputs", big.shape)
-            for d, buf in enumerate(expert_outputs):
-                stacked_out[program.dest_off[d] : program.dest_off[d + 1]] = buf
         else:
-            stacked_out = big.copy()
-            expert_outputs = [
-                stacked_out[program.dest_off[d] : program.dest_off[d + 1]]
-                for d in range(len(arrays))
-            ]
-        outputs = program.run_combine(stacked_out, workspace=self.workspace)
+            outputs = program.run_combine(expert_outputs, workspace=self.workspace)
         program.replay_comm(self.dispatcher.group.world.stats)
         return expert_inputs, expert_outputs, outputs

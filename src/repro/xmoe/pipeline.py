@@ -199,9 +199,15 @@ class DistributedMoEDispatcher:
         per_rank_expert_outputs: list[np.ndarray],
         plan: DispatchPlan,
         num_tokens_per_rank: list[int],
+        **fused,
     ) -> list[np.ndarray]:
-        """Return expert outputs to their source ranks and sequence slots."""
-        return self.engine.combine(per_rank_expert_outputs, plan, num_tokens_per_rank)
+        """Return expert outputs to their source ranks and sequence slots.
+
+        ``fused`` forwards the engine's ``program=`` / ``workspace=``.
+        """
+        return self.engine.combine(
+            per_rank_expert_outputs, plan, num_tokens_per_rank, **fused
+        )
 
     # ------------------------------------------------------------------
     def run_experts(

@@ -211,6 +211,12 @@ class RBDDispatcher:
         per_rank_expert_outputs: list[np.ndarray],
         plan: DispatchPlan,
         num_tokens_per_rank: list[int],
+        **fused,
     ) -> list[np.ndarray]:
-        """Weighted combine with the reverse of the two-stage dispatch."""
-        return self.engine.combine(per_rank_expert_outputs, plan, num_tokens_per_rank)
+        """Weighted combine with the reverse of the two-stage dispatch.
+
+        ``fused`` forwards the engine's ``program=`` / ``workspace=``.
+        """
+        return self.engine.combine(
+            per_rank_expert_outputs, plan, num_tokens_per_rank, **fused
+        )

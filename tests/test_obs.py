@@ -346,3 +346,33 @@ class TestRecordRoutingRun:
         assert any(name.startswith("comm_") for name in snap)
         # the recording window detached cleanly
         assert not obs.enabled()
+
+    @pytest.mark.parametrize("dispatch,calls", [("flat", 2), ("rbd", 10), ("hier", 18)])
+    def test_fused_steps_keep_comm_spans(self, dispatch, calls):
+        """Every step — miss and warm alike — shows one comm span per collective.
+
+        Fused steps move no data through the collectives, so their comm
+        spans come from ``ExecProgram.replay_comm``: one per derived event,
+        with the op, byte totals, per-tier split, modeled seconds and the
+        participating ranks the Perfetto per-rank tracks need.
+        """
+        steps = 3
+        tracer, _, telemetry = record_routing_run(
+            steps=steps, num_ranks=32, dispatch=dispatch
+        )
+        assert all(s.attrs["fused"] for s in tracer.named("step"))
+        comm = [s for s in tracer.spans if s.category == "comm"]
+        events = telemetry.comm_stats.events
+        assert len(comm) == len(events) == steps * calls
+        for span, event in zip(comm, events):
+            assert span.name == span.attrs["op"] == event.op
+            assert span.attrs["bytes"] == event.total_bytes
+            assert span.attrs["modeled_seconds"] == event.seconds
+            assert span.attrs["ranks"] == event.ranks and len(event.ranks) == event.group_size
+            assert sum(span.attrs["bytes_by_tier"].values()) == event.total_bytes
+        tracks = {
+            e["tid"]
+            for e in chrome_trace(tracer)["traceEvents"]
+            if e["ph"] == "X" and e["cat"] == "comm"
+        }
+        assert tracks == {COMM_TID_BASE + rank for rank in range(32)}

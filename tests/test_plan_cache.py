@@ -9,6 +9,10 @@ ranks and ragged batches.  Plus the cache's own behavior: the four-tier
 resolution outcomes, LRU bounding and eviction hygiene, order-insensitive
 fingerprints, trace/telemetry plumbing, and the calibration satellite
 (warn-and-skip on malformed records, hit-rate-discounted plan pricing).
+Every cached step runs compile-then-fused, so the suite also holds the
+fused path to the engine's comm accounting (``CommStats.events`` equal on
+every tier), counts its engine fallbacks, and injects faults mid-step to
+check an aborted step leaves no residue.
 """
 
 import json
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm import CommWorld
+from repro.obs import MetricsRegistry, Tracer, use_tracer
 from repro.routing import (
     ROUTER_POLICY_NAMES,
     PlanCache,
@@ -25,7 +30,7 @@ from repro.routing import (
     make_dispatcher,
     make_policy,
 )
-from repro.routing.plan_cache import StepSignature
+from repro.routing.plan_cache import ExecProgram, StepSignature
 from repro.routing.policies import RoutingDecision, skewed_router_tokens
 from repro.routing.telemetry import RoutingTelemetry
 from repro.runtime import StepRuntime
@@ -48,18 +53,28 @@ def _policy_and_batches(name, *, num_ranks, tokens, hidden, experts, top_k, seed
     return policy, batches
 
 
-def _runtime_pair(policy, kind, num_ranks, experts, *, capacity=None, seed=0):
+def _runtime_pair(
+    policy, kind, num_ranks, experts, *, capacity=None, seed=0, expert_weights=None,
+    track_memory=False,
+):
     """A cached runtime and a cache-less one over twin worlds."""
     runtimes = []
     for cache in (PlanCache(), None):
-        world = CommWorld(num_ranks=num_ranks)
+        world = CommWorld(num_ranks=num_ranks, track_memory=track_memory)
         dispatcher = make_dispatcher(
             world.world_group(), experts, kind=kind, seed=seed
         )
         runtimes.append(
-            StepRuntime(policy, dispatcher, capacity=capacity, plan_cache=cache)
+            StepRuntime(
+                policy, dispatcher, capacity=capacity, plan_cache=cache,
+                expert_weights=expert_weights,
+            )
         )
     return runtimes
+
+
+def _stats(runtime):
+    return runtime.dispatcher.group.world.stats
 
 
 def _perturb(batches, rng, fraction):
@@ -276,11 +291,16 @@ class TestCacheTelemetry:
         warm, cold = _runtime_pair(policy, "flat", num_ranks, experts, seed=6)
         telemetry = RoutingTelemetry(experts)
         warm.telemetry = telemetry
-        for _ in range(3):
-            result = warm.run_step([b.copy() for b in base], step=0)
-        assert result.trace.cache_outcome == "hit"
-        assert result.trace.fused
+        results = [warm.run_step([b.copy() for b in base], step=0) for _ in range(3)]
+        # Compile-then-run: the miss step already executes the fused program.
+        assert [r.trace.cache_outcome for r in results] == ["miss", "hit", "hit"]
+        assert all(r.trace.fused for r in results)
+        result = results[-1]
         assert result.trace.cache_stats["hits"] == 2
+        # Fixed shapes: arenas park on their second request, reuse from the third.
+        workspace = warm.workspace
+        assert result.trace.cache_stats["scratch_reuses"] == workspace.scratch_reuses > 0
+        assert result.trace.cache_stats["scratch_regrows"] == workspace.scratch_regrows
         summary = telemetry.summary()
         assert summary["plan_cache_hit_rate"] == round(2 / 3, 4)
         assert summary["plan_cache_hit"] == 2
@@ -295,6 +315,174 @@ class TestCacheTelemetry:
         telemetry = RoutingTelemetry(4)
         assert "plan_cache_hit_rate" not in telemetry.summary()
         assert telemetry.plan_cache_hit_rate == 0.0
+
+
+# ----------------------------------------------------------------------
+# Comm accounting: derived events == the engine's, on every tier
+# ----------------------------------------------------------------------
+class TestCachedCommEvents:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_events_equal_cacheless_on_every_tier(self, kind):
+        """Miss, hit, weight patch and structural patch all account alike."""
+        num_ranks, experts = 16, 16  # two nodes: real inter-node traffic
+        policy, base = _policy_and_batches(
+            "softmax-topk", num_ranks=num_ranks, tokens=12, hidden=8,
+            experts=experts, top_k=2, seed=3,
+        )
+        warm, cold = _runtime_pair(policy, kind, num_ranks, experts, seed=3)
+        rng = np.random.default_rng(5)
+        noisy = [b + 1e-9 * rng.normal(size=b.shape) for b in base]
+        flipped = [b.copy() for b in base]
+        flipped[0][:1] *= -1.0
+        outcomes = []
+        for arrs in (base, base, noisy, flipped):
+            warm_result = warm.run_step([b.copy() for b in arrs], step=0)
+            cold.run_step([b.copy() for b in arrs], step=0)
+            outcomes.append(warm_result.trace.cache_outcome)
+            assert warm_result.trace.fused
+            assert _stats(warm).events == _stats(cold).events, outcomes[-1]
+            assert _stats(warm).events, "a two-node step must record collectives"
+            _stats(warm).clear()
+            _stats(cold).clear()
+        assert outcomes == ["miss", "hit", "weight_patch", "patch"]
+
+
+# ----------------------------------------------------------------------
+# Engine fallback: counted and named, never silent
+# ----------------------------------------------------------------------
+class TestEngineFallback:
+    def _pair(self, **kwargs):
+        policy, base = _policy_and_batches(
+            "softmax-topk", num_ranks=4, tokens=8, hidden=8, experts=8,
+            top_k=2, seed=2,
+        )
+        warm, cold = _runtime_pair(policy, "rbd", 4, 8, seed=2, **kwargs)
+        registry = MetricsRegistry()
+        _stats(warm).metrics = registry
+        return warm, cold, base, registry
+
+    @staticmethod
+    def _fallbacks(registry):
+        return registry.snapshot().get("step_engine_fallback_total", {}).get("series", {})
+
+    def test_non_f64_payload_falls_back_with_reason(self):
+        warm, cold, base, registry = self._pair()
+        payload = [b.astype(np.float32) for b in base]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            results = [warm.run_step(payload, step=0) for _ in range(2)]
+        assert [r.trace.fused for r in results] == [False, False]
+        assert self._fallbacks(registry) == {"reason=dtype": 2.0}
+        assert [s.attrs["engine_fallback"] for s in tracer.named("step")] == ["dtype"] * 2
+        _assert_step_equal(results[-1], cold.run_step(payload, step=0), "f32 fallback")
+        # The same runtime still fuses float64 payloads, uncounted.
+        assert warm.run_step(base, step=0).trace.fused
+        assert self._fallbacks(registry) == {"reason=dtype": 2.0}
+
+    def test_memory_tracking_world_falls_back_with_reason(self):
+        warm, cold, base, registry = self._pair(track_memory=True)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = warm.run_step(base, step=0)
+        assert not result.trace.fused
+        assert self._fallbacks(registry) == {"reason=track_memory": 1.0}
+        assert tracer.named("step")[0].attrs["engine_fallback"] == "track_memory"
+        _assert_step_equal(result, cold.run_step(base, step=0), "track_memory fallback")
+
+    def test_cacheless_runtime_is_not_a_fallback(self):
+        _, cold, base, _ = self._pair()
+        registry = MetricsRegistry()
+        _stats(cold).metrics = registry
+        tracer = Tracer()
+        with use_tracer(tracer):
+            cold.run_step(base, step=0)
+        assert self._fallbacks(registry) == {}
+        assert "engine_fallback" not in tracer.named("step")[0].attrs
+
+
+# ----------------------------------------------------------------------
+# Fault injection: an aborted step leaves no residue
+# ----------------------------------------------------------------------
+class TestAbortedStepLeavesNoResidue:
+    """Raise mid-step, then demand the next step equals a never-faulted run."""
+
+    KIND, RANKS, EXPERTS, HIDDEN, FFN = "rbd", 4, 8, 8, 4
+
+    def _runtimes(self):
+        policy, base = _policy_and_batches(
+            "softmax-topk", num_ranks=self.RANKS, tokens=10, hidden=self.HIDDEN,
+            experts=self.EXPERTS, top_k=2, seed=8,
+        )
+        rng = np.random.default_rng(9)
+        local = self.EXPERTS // self.RANKS
+        weights = (
+            [rng.normal(size=(local, self.HIDDEN, self.FFN)) for _ in range(self.RANKS)],
+            [rng.normal(size=(local, self.FFN, self.HIDDEN)) for _ in range(self.RANKS)],
+        )
+
+        def pair():
+            return _runtime_pair(
+                policy, self.KIND, self.RANKS, self.EXPERTS, seed=8,
+                expert_weights=weights,
+            )
+
+        faulted, _ = pair()
+        clean, oracle = pair()
+        return faulted, clean, oracle, base
+
+    def _assert_recovered(self, faulted, clean, oracle, base, outcome):
+        """The step after the fault: same outcome, bits and comm as a clean run."""
+        assert _stats(faulted).events == []
+        result = faulted.run_step([b.copy() for b in base], step=0)
+        clean_result = clean.run_step([b.copy() for b in base], step=0)
+        oracle_result = oracle.run_step([b.copy() for b in base], step=0)
+        assert result.trace.fused and result.trace.cache_outcome == outcome
+        _assert_step_equal(result, clean_result, "vs never-faulted cached runtime")
+        _assert_step_equal(result, oracle_result, "vs cache-less oracle")
+        assert _stats(faulted).events == _stats(clean).events == _stats(oracle).events
+        for entry in faulted.plan_cache._entries.values():
+            assert isinstance(entry.exec_program, ExecProgram)
+
+    def test_fault_in_expert_gemm_during_fused_miss(self, monkeypatch):
+        import repro.xmoe.kernels as kernels
+
+        faulted, clean, oracle, base = self._runtimes()
+        real_gemm, calls = kernels.sequential_gemm, []
+
+        def exploding_gemm(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:  # mid-way through the per-rank expert loop
+                raise RuntimeError("injected GEMM fault")
+            return real_gemm(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "sequential_gemm", exploding_gemm)
+        with pytest.raises(RuntimeError, match="injected GEMM fault"):
+            faulted.run_step([b.copy() for b in base], step=0)
+        monkeypatch.setattr(kernels, "sequential_gemm", real_gemm)
+
+        # The miss compiled before it ran: the entry is whole, not half-attached.
+        (entry,) = faulted.plan_cache._entries.values()
+        assert isinstance(entry.exec_program, ExecProgram)
+        assert len(entry.exec_program.comm_events) == 2 + 2 * entry.plan.num_nodes
+        assert faulted.steps_run == 0
+        clean.run_step([b.copy() for b in base], step=0)  # the step that never faulted
+        _stats(clean).clear()
+        self._assert_recovered(faulted, clean, oracle, base, "hit")
+
+    def test_fault_in_program_build_drops_the_entry(self, monkeypatch):
+        faulted, clean, oracle, base = self._runtimes()
+
+        def exploding_build(*args, **kwargs):
+            raise RuntimeError("injected compile fault")
+
+        monkeypatch.setattr(ExecProgram, "build", exploding_build)
+        with pytest.raises(RuntimeError, match="injected compile fault"):
+            faulted.run_step([b.copy() for b in base], step=0)
+        monkeypatch.undo()
+
+        cache = faulted.plan_cache
+        assert len(cache) == 0 and not cache._by_structure and not cache._last_by_context
+        self._assert_recovered(faulted, clean, oracle, base, "miss")
 
 
 # ----------------------------------------------------------------------

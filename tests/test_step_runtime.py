@@ -349,6 +349,27 @@ class TestStepRuntimeBehavior:
         b = workspace.stacked_hidden(6, 3)
         assert b.shape == (6, 3) and b is not a
 
+    def test_scratch_parks_only_shape_stable_arenas(self):
+        """A shape must repeat before its arena is pinned; churn pins nothing."""
+        workspace = StepWorkspace()
+        first = workspace.scratch("a", (4, 3))
+        second = workspace.scratch("a", (4, 3))  # repeated: parked from here on
+        assert second is not first
+        assert workspace.scratch("a", (4, 3)) is second
+        assert (workspace.scratch_reuses, workspace.scratch_regrows) == (1, 2)
+        # A shape change releases the parked arena and parks nothing new...
+        grown = workspace.scratch("a", (6, 3))
+        assert grown.shape == (6, 3) and "a" not in workspace._scratch
+        # ...and a shape that changes every request is never pinned or reused.
+        for rows in (5, 7, 5, 7):
+            workspace.scratch("a", (rows, 3))
+        assert "a" not in workspace._scratch
+        assert (workspace.scratch_reuses, workspace.scratch_regrows) == (1, 7)
+        # dtype is part of the shape key.
+        workspace.scratch("b", (2, 2))
+        parked = workspace.scratch("b", (2, 2))
+        assert workspace.scratch("b", (2, 2), dtype=np.float32) is not parked
+
     def test_trace_hooks_fire_with_dtype_derived_bytes(self):
         traces = []
         runtime, batches = self._runtime(trace_hooks=[traces.append])
