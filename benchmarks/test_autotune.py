@@ -84,7 +84,7 @@ def test_autotune_large_on_frontier():
         for r in range(ep)
     ]
     result = StepRuntime(policy, dispatcher).run_step(tokens, step=0)
-    assert result.plan.kind == plan.dispatch_kind
+    assert result.plan.kind == plan.dispatch
     assert all(o.shape == (tokens_per_rank, hidden) for o in result.outputs)
 
     # ---- report ------------------------------------------------------

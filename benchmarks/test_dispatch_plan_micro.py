@@ -8,8 +8,8 @@ Three measurements:
 
 * ``plan_build`` — compiling all dispatch/combine bookkeeping into a
   :class:`~repro.routing.plan.DispatchPlan`, for the flat and RBD planners.
-* ``legacy_bookkeeping`` — a faithful distillation of the seed
-  ``RBDDispatcher``'s bookkeeping: Python list building per destination,
+* ``legacy_bookkeeping`` — a faithful distillation of the seed RBD
+  dispatcher's bookkeeping: Python list building per destination,
   dict slot-maps, per-row replica-request loops with ``members.index``, and
   the O(B²) linear pilot-slot scan the combine stage performed per replica.
 * ``dispatch`` / ``combine`` — executing the plan with real (hidden=64)
@@ -53,7 +53,7 @@ def build_workload(seed=0):
 
 
 def legacy_bookkeeping(pfts, expert_to_rank, rank_to_node, seed=0):
-    """The seed RBDDispatcher's bookkeeping, loops and dicts included.
+    """The seed RBD dispatcher's bookkeeping, loops and dicts included.
 
     Kept here (not in the library) purely as the baseline the vectorized
     planner is measured against: per-destination Python list building, dict
@@ -197,8 +197,8 @@ def test_dispatch_plan_micro():
     tokens, pfts = build_workload()
     world = CommWorld(num_ranks=RANKS)
     group = world.world_group()
-    flat = make_dispatcher(group, E, use_rbd=False)
-    rbd = make_dispatcher(group, E, use_rbd=True, seed=0)
+    flat = make_dispatcher(group, E)
+    rbd = make_dispatcher(group, E, kind="rbd", seed=0)
 
     # ---- plan construction ------------------------------------------
     for _ in range(2):  # warm-up

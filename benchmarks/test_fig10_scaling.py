@@ -32,7 +32,7 @@ def run_weak_scaling():
                 ep_size=8,
                 micro_batch_size=1,
                 global_batch_size=gbs,
-                use_rbd=kind is SystemKind.XMOE,
+                dispatch="rbd" if kind is SystemKind.XMOE else "flat",
             )
             perf = MoEPerformanceModel(model, parallel, system, kind)
             row[kind] = perf.throughput_tflops_per_gpu()
@@ -50,7 +50,7 @@ def run_strong_scaling():
             ep_size=64,
             micro_batch_size=1,
             global_batch_size=2048,
-            use_rbd=True,
+            dispatch="rbd",
         )
         out[world] = MoEPerformanceModel(
             model, parallel, system, SystemKind.XMOE

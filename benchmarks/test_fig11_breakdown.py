@@ -26,7 +26,7 @@ def breakdowns(model_name: str, ep: int):
             world_size=256, ep_size=ep, micro_batch_size=1, global_batch_size=1024
         )
         perf = MoEPerformanceModel(model, parallel, SYS256, kind)
-        out[kind] = perf.moe_layer_breakdown(use_rbd=False)
+        out[kind] = perf.moe_layer_breakdown(dispatch="flat")
     return out
 
 

@@ -20,8 +20,9 @@ from repro.cluster.topology import LinkTier
 from repro.comm import CommWorld
 from repro.config import ParallelConfig, frontier_system, paper_config
 from repro.moe import TopKGate
+from repro.routing import make_dispatcher
 from repro.tensor import Tensor
-from repro.xmoe import DistributedMoEDispatcher, RBDDispatcher, build_pft
+from repro.xmoe import build_pft
 from repro.xmoe.memory_model import SystemKind
 from repro.xmoe.perf_model import MoEPerformanceModel
 
@@ -29,13 +30,13 @@ from repro.xmoe.perf_model import MoEPerformanceModel
 def analytic_breakdown():
     model = paper_config("large")
     parallel = ParallelConfig(
-        world_size=32, ep_size=32, micro_batch_size=1, global_batch_size=64, use_rbd=True
+        world_size=32, ep_size=32, micro_batch_size=1, global_batch_size=64, dispatch="rbd"
     )
     perf = MoEPerformanceModel(model, parallel, frontier_system(num_nodes=4), SystemKind.XMOE)
     return {
         "redundancy": perf.redundancy(),
-        "without": perf.dispatch_breakdown(use_rbd=False),
-        "with": perf.dispatch_breakdown(use_rbd=True),
+        "without": perf.dispatch_breakdown("flat"),
+        "with": perf.dispatch_breakdown("rbd"),
     }
 
 
@@ -59,16 +60,14 @@ def functional_inter_node_bytes(num_ranks=16, num_experts=32, top_k=8, tokens=32
         return total
 
     world_flat = CommWorld(num_ranks=num_ranks)
-    DistributedMoEDispatcher(world_flat.world_group(), num_experts).dispatch(
-        tokens_list, pfts
-    )
+    make_dispatcher(world_flat.world_group(), num_experts).dispatch(tokens_list, pfts)
     world_rbd = CommWorld(num_ranks=num_ranks)
-    rbd = RBDDispatcher(world_rbd.world_group(), num_experts, seed=3)
-    rbd.dispatch(tokens_list, pfts)
+    rbd = make_dispatcher(world_rbd.world_group(), num_experts, kind="rbd", seed=3)
+    _, plan = rbd.dispatch(tokens_list, pfts)
     return (
         inter_bytes(world_flat, {"dispatch_a2a"}),
         inter_bytes(world_rbd, {"rbd_s1_a2a"}),
-        rbd.last_stats["redundancy_rate"],
+        plan.redundancy,
     )
 
 

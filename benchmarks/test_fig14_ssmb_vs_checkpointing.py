@@ -19,7 +19,7 @@ def run_comparison():
         tp_size=2,
         micro_batch_size=1,
         global_batch_size=1024,
-        use_rbd=True,
+        dispatch="rbd",
     )
     return compare_ssmb_vs_checkpointing(
         paper_config("large"), parallel, frontier_system(num_nodes=32)

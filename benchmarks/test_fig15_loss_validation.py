@@ -15,14 +15,14 @@ import numpy as np
 from conftest import print_table
 
 from repro.baselines import PaddedMoELayer
-from repro.moe import DropPolicy, MoETransformerLM, SyntheticLMDataset, TransformerConfig
+from repro.moe import MoETransformerLM, SyntheticLMDataset, TransformerConfig
 from repro.tensor import Adam
 from repro.xmoe import PaddingFreeMoELayer
 
 STEPS = 40
 
 
-def make_config(drop_policy):
+def make_config(score_threshold):
     return TransformerConfig(
         vocab_size=128,
         hidden_size=32,
@@ -32,7 +32,7 @@ def make_config(drop_policy):
         num_layers=2,
         seq_length=64,
         capacity_factor=1.5,
-        drop_policy=drop_policy,
+        score_threshold=score_threshold,
     )
 
 
@@ -52,12 +52,12 @@ def train_curve(model, seed):
 
 def run_validation():
     ds_model = MoETransformerLM(
-        make_config(DropPolicy.SCORE_THRESHOLD),
+        make_config(score_threshold=True),
         lambda g, e, c: PaddedMoELayer(g, e, c),
         seed=21,
     )
     xmoe_model = MoETransformerLM(
-        make_config(DropPolicy.CAPACITY_ONLY),
+        make_config(score_threshold=False),
         lambda g, e, c: PaddingFreeMoELayer(g, e, c),
         seed=21,
     )

@@ -36,7 +36,7 @@ def test_router_policy_sweep():
     summaries: dict[tuple[str, str], dict] = {}
     telemetries: dict[tuple[str, str], object] = {}
     for name in ROUTER_POLICY_NAMES:
-        for use_rbd in (False, True):
+        for dispatch in ("flat", "rbd"):
             telemetry = run_routing_validation(
                 name,
                 num_ranks=RANKS,
@@ -45,11 +45,11 @@ def test_router_policy_sweep():
                 hidden_size=HIDDEN,
                 tokens_per_rank=TOKENS_PER_RANK,
                 steps=STEPS,
-                use_rbd=use_rbd,
+                dispatch=dispatch,
                 seed=SEED,
                 skew=SKEW,
             )
-            key = (name, "rbd" if use_rbd else "flat")
+            key = (name, dispatch)
             summary = telemetry.summary()
             summaries[key] = summary
             telemetries[key] = telemetry

@@ -15,7 +15,8 @@ Flags
     Training steps for both pipelines (default 60).
 ``--router {softmax-topk,switch-top1,noisy-topk,expert-choice}``
     The routing regime: the default ``softmax-topk`` reproduces the
-    paper's comparison (the two pipelines differ only by drop policy),
+    paper's comparison (the two pipelines differ only by the score
+    threshold),
     while the others run both pipelines under that policy instead —
     routing is an experimental axis, not a constant (see
     ``repro.routing.policies``).
@@ -33,19 +34,14 @@ import argparse
 import numpy as np
 
 from repro.baselines import PaddedMoELayer
-from repro.moe import (
-    DropPolicy,
-    MoETransformerLM,
-    SyntheticLMDataset,
-    TransformerConfig,
-)
+from repro.moe import MoETransformerLM, SyntheticLMDataset, TransformerConfig
 from repro.routing import DISPATCH_KINDS, ROUTER_POLICY_NAMES
 from repro.tensor import Adam
 from repro.xmoe import PaddingFreeMoELayer
 from repro.xmoe.trainer import run_routing_validation
 
 
-def make_config(drop_policy: DropPolicy, router: str) -> TransformerConfig:
+def make_config(score_threshold: bool, router: str) -> TransformerConfig:
     return TransformerConfig(
         vocab_size=128,
         hidden_size=32,
@@ -55,7 +51,7 @@ def make_config(drop_policy: DropPolicy, router: str) -> TransformerConfig:
         num_layers=2,
         seq_length=64,
         capacity_factor=1.5,
-        drop_policy=drop_policy,
+        score_threshold=score_threshold,
         router=router,
     )
 
@@ -91,21 +87,14 @@ def main():
     )
     args = parser.parse_args()
 
-    # The score-threshold vs capacity-only contrast is a property of the
-    # default softmax router; other policies decide their own drops, so both
-    # pipelines share the same drop policy under them.
-    ds_drop = (
-        DropPolicy.SCORE_THRESHOLD
-        if args.router == "softmax-topk"
-        else DropPolicy.CAPACITY_ONLY
-    )
+    # Only the softmax router has DeepSpeed-MoE's score threshold.
     deepspeed_model = MoETransformerLM(
-        make_config(ds_drop, args.router),
+        make_config(args.router == "softmax-topk", args.router),
         lambda gate, experts, cap: PaddedMoELayer(gate, experts, cap),
         seed=21,
     )
     xmoe_model = MoETransformerLM(
-        make_config(DropPolicy.CAPACITY_ONLY, args.router),
+        make_config(False, args.router),
         lambda gate, experts, cap: PaddingFreeMoELayer(gate, experts, cap),
         seed=21,
     )

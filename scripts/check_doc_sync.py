@@ -13,6 +13,10 @@ Three invariants, all enforced in CI (and by ``tests/test_doc_sync.py``):
 3. **CLI coverage** — every ``python -m repro`` subcommand registered in
    ``src/repro/__main__.py`` must be documented in README.md (as
    ``repro <name>``), so a new subcommand cannot land undocumented.
+4. **No stale identifiers** — every CamelCase identifier DESIGN.md or
+   README.md puts in backticks must be defined by a ``class`` statement or
+   an assignment under ``src/`` (or be a listed external name), so deleting
+   or renaming a class fails until the docs follow.
 
 One advisory check **warns without failing**: references to
 ``/root/related/...`` reading-list paths in the docs whose checkout is
@@ -100,6 +104,50 @@ def check_cli_docs(errors: list[str]) -> None:
             )
 
 
+#: CamelCase names the docs cite from other projects (vLLM's serving
+#: engine) for provenance; nothing under src/ defines them.
+EXTERNAL_IDENTIFIERS = frozenset({"AsyncStream", "RequestTracker"})
+
+#: An uppercase start, a second capital and a lowercase letter: ``TopKGate``,
+#: ``RBDPlanner``, ``MoE`` — not ``Adam``, ``PFT`` or ``CROSS_RACK``.
+_CAMEL_CASE = re.compile(r"(?=\w*[a-z])[A-Z][A-Za-z0-9]*[A-Z][A-Za-z0-9]*")
+
+
+def defined_identifiers() -> set[str]:
+    """Names a ``class`` statement or an assignment under ``src/`` defines."""
+    names: set[str] = set()
+    for path in (REPO / "src").rglob("*.py"):
+        source = path.read_text()
+        names.update(re.findall(r"^\s*class\s+(\w+)", source, re.M))
+        names.update(re.findall(r"^\s*(\w+)\s*(?::[^=\n]*)?=(?!=)", source, re.M))
+    return names
+
+
+def stale_identifiers(text: str, defined: set[str]) -> list[str]:
+    """Backticked CamelCase identifiers in ``text`` that ``defined`` lacks."""
+    found = {
+        token
+        for span in re.findall(r"`([^`\n]+)`", text)
+        for token in re.findall(r"\w+", span)
+        if _CAMEL_CASE.fullmatch(token) and token not in defined
+    }
+    return sorted(found - EXTERNAL_IDENTIFIERS)
+
+
+def check_identifiers(errors: list[str]) -> None:
+    """DESIGN.md and README.md may only backtick identifiers src/ defines."""
+    defined = defined_identifiers()
+    for name in ("DESIGN.md", "README.md"):
+        path = REPO / name
+        if not path.exists():
+            continue
+        for identifier in stale_identifiers(path.read_text(), defined):
+            errors.append(
+                f"{name} mentions `{identifier}`, which no class or assignment "
+                "under src/ defines — update or drop the reference"
+            )
+
+
 def related_path_warnings() -> list[str]:
     """Warnings for ``/root/related/...`` doc references absent on disk.
 
@@ -129,6 +177,7 @@ def main() -> int:
     check_experiment_index(errors)
     check_verify_command(errors)
     check_cli_docs(errors)
+    check_identifiers(errors)
     for warning in related_path_warnings():
         print(f"doc-sync: warning: {warning}", file=sys.stderr)
     for problem in errors:
@@ -136,7 +185,7 @@ def main() -> int:
     if not errors:
         print(
             "doc-sync: DESIGN.md experiment index, README verify command, "
-            "and CLI docs OK"
+            "CLI docs and identifiers OK"
         )
     return len(errors)
 

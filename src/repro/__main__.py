@@ -136,7 +136,7 @@ def _cmd_tune(args) -> None:
     best = report.best_parallel_config()
     print(
         f"\nconsume the winner: dispatcher_for_config(group, {model.num_experts}, "
-        f"plan) with plan.dispatch_kind={best.dispatch_kind!r}, and "
+        f"plan) with plan.dispatch={best.dispatch!r}, and "
         f"policy_for_config(report.best_model_config(), plan)"
     )
 

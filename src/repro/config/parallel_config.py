@@ -64,16 +64,11 @@ class ParallelConfig:
         ZeRO stage applied to the data-parallel dimension.
     use_ssmb:
         Enable X-MoE's sequence-sharded MoE blocks.
-    use_rbd:
-        Enable redundancy-bypassing dispatch (legacy boolean; equivalent to
-        ``dispatch="rbd"``).
     dispatch:
-        The MoE dispatch strategy: ``"flat"`` (single uneven all-to-all),
-        ``"rbd"`` (two-stage redundancy-bypassing dispatch), or ``"hier"``
-        (two-hop hierarchical dispatch through per-node leaders).  ``None``
-        (the default) defers to the legacy ``use_rbd`` boolean; an explicit
-        value that contradicts ``use_rbd=True`` raises rather than silently
-        preferring one axis.  See :attr:`dispatch_kind`.
+        The MoE dispatch strategy, one of :data:`DISPATCH_KINDS`:
+        ``"flat"`` (single uneven all-to-all), ``"rbd"`` (two-stage
+        redundancy-bypassing dispatch), or ``"hier"`` (two-hop hierarchical
+        dispatch through per-node leaders).
     placement:
         EP-first or DP-first rank placement.
     micro_batch_size:
@@ -94,8 +89,7 @@ class ParallelConfig:
     tp_size: int = 1
     zero_stage: ZeroStage = ZeroStage.OPTIMIZER
     use_ssmb: bool = False
-    use_rbd: bool = False
-    dispatch: str | None = None
+    dispatch: str = "flat"
     placement: PlacementOrder = PlacementOrder.DP_FIRST
     micro_batch_size: int = 1
     global_batch_size: int = 1024
@@ -122,30 +116,12 @@ class ParallelConfig:
                 f"global_batch_size={self.global_batch_size} must be divisible by "
                 f"dp_size={self.dp_size}"
             )
-        if self.dispatch is not None and self.dispatch not in DISPATCH_KINDS:
+        if self.dispatch not in DISPATCH_KINDS:
             raise ValueError(
                 f"dispatch={self.dispatch!r} must be one of {DISPATCH_KINDS}"
             )
-        if self.use_rbd and self.dispatch not in (None, "rbd"):
-            raise ValueError(
-                f"use_rbd=True conflicts with dispatch={self.dispatch!r}; "
-                "drop the legacy flag or pick dispatch='rbd'"
-            )
 
     # ------------------------------------------------------------------
-    @property
-    def dispatch_kind(self) -> str:
-        """The effective dispatch strategy, reconciling ``use_rbd``.
-
-        An explicit ``dispatch`` value wins (a contradiction with
-        ``use_rbd=True`` has already been rejected at construction);
-        otherwise the legacy ``use_rbd=True`` still selects ``"rbd"`` so
-        existing configurations keep their behaviour.
-        """
-        if self.dispatch is not None:
-            return self.dispatch
-        return "rbd" if self.use_rbd else "flat"
-
     @property
     def dp_size(self) -> int:
         """Data-parallel group size for the dense blocks (= world / TP)."""
@@ -187,6 +163,6 @@ class ParallelConfig:
             f"world={self.world_size} dp={self.dp_size} ep={self.ep_size} "
             f"tp={self.tp_size} zero={int(self.zero_stage)} "
             f"ssmb={'on' if self.use_ssmb else 'off'} "
-            f"dispatch={self.dispatch_kind} "
+            f"dispatch={self.dispatch} "
             f"placement={self.placement.value}"
         )

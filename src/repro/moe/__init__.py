@@ -4,8 +4,8 @@ This package contains the *model* side of the reproduction — everything a
 training system (the baselines in :mod:`repro.baselines` or X-MoE in
 :mod:`repro.xmoe`) operates on:
 
-* :mod:`repro.moe.gating` — top-k gating with load-balancing auxiliary loss
-  and the two token-dropping policies the paper contrasts in §5.6.
+* :mod:`repro.moe.gating` — top-k gating with load-balancing auxiliary loss;
+  selection and dropping are delegated to a router policy.
 * :mod:`repro.moe.experts` — banks of fine-grained expert FFNs.
 * :mod:`repro.moe.blocks` — dense attention / FFN / layer-norm blocks.
 * :mod:`repro.moe.transformer` — a small MoE transformer LM whose MoE layer
@@ -13,7 +13,7 @@ training system (the baselines in :mod:`repro.baselines` or X-MoE in
 * :mod:`repro.moe.data` — synthetic Zipf-distributed language-modelling data.
 """
 
-from repro.moe.gating import TopKGate, GateOutput, DropPolicy
+from repro.moe.gating import TopKGate, GateOutput
 from repro.moe.experts import ExpertBank
 from repro.moe.blocks import Linear, LayerNorm, CausalSelfAttention, DenseFFN
 from repro.moe.transformer import MoETransformerLM, TransformerConfig
@@ -22,7 +22,6 @@ from repro.moe.data import SyntheticLMDataset, zipf_token_batch
 __all__ = [
     "TopKGate",
     "GateOutput",
-    "DropPolicy",
     "ExpertBank",
     "Linear",
     "LayerNorm",

@@ -4,16 +4,15 @@ The gate projects each token to per-expert logits (differentiably, on the
 autograd substrate) and delegates *selection and dropping* to a pluggable
 :class:`~repro.routing.policies.RouterPolicy` (§2, §4.1 of the paper; the
 policy subsystem lives in :mod:`repro.routing.policies`).  The default
-policy is the paper's softmax top-k router; the legacy
-:class:`DropPolicy` enum is now a thin wrapper selecting that policy's
-score-threshold knob, matching the subtle difference the paper discovered
-while validating loss curves (§5.6):
+policy is the paper's softmax top-k router, whose ``score_threshold`` knob
+selects between the two dropping rules the paper contrasts while
+validating loss curves (§5.6):
 
-* :attr:`DropPolicy.SCORE_THRESHOLD` — DeepSpeed-MoE behaviour: a token is
-  dropped from an expert when its (pre-softmax) routing score is negative,
+* ``score_threshold=True`` — DeepSpeed-MoE behaviour: a token is dropped
+  from an expert when its (pre-softmax) routing score is negative,
   regardless of whether the capacity is exceeded.
-* :attr:`DropPolicy.CAPACITY_ONLY` — X-MoE behaviour: tokens are dropped
-  only when they exceed the expert capacity, so more tokens survive.
+* ``score_threshold=False`` — X-MoE behaviour: tokens are dropped only when
+  they exceed the expert capacity, so more tokens survive.
 
 The gate also computes the standard load-balancing auxiliary loss
 (Switch-Transformer style), which both pipelines add to the LM loss.
@@ -21,7 +20,6 @@ The gate also computes the standard load-balancing auxiliary loss
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,42 +27,6 @@ import numpy as np
 from repro.routing.policies import RouterPolicy, RoutingDecision, SoftmaxTopKPolicy
 from repro.tensor.autograd import Tensor
 from repro.tensor import ops
-
-
-class DropPolicy(enum.Enum):
-    """Which tokens are eligible to be dropped by the dispatcher.
-
-    A thin wrapper over the router-policy protocol: each member maps onto a
-    :class:`~repro.routing.policies.SoftmaxTopKPolicy` configuration via
-    :meth:`to_policy` (``SCORE_THRESHOLD`` sets the policy's
-    ``score_threshold`` knob; ``CAPACITY_ONLY`` leaves all dropping to the
-    capacity rule of PFT construction / padded dispatch).
-    """
-
-    CAPACITY_ONLY = "capacity-only"
-    SCORE_THRESHOLD = "score-threshold"
-
-    @property
-    def drops_on_score(self) -> bool:
-        """True when assignments with negative raw scores are dropped early."""
-        return self is DropPolicy.SCORE_THRESHOLD
-
-    def to_policy(
-        self,
-        hidden_size: int,
-        num_experts: int,
-        top_k: int,
-        *,
-        aux_loss_coef: float = 0.01,
-    ) -> SoftmaxTopKPolicy:
-        """The softmax top-k router policy this drop policy corresponds to."""
-        return SoftmaxTopKPolicy(
-            hidden_size,
-            num_experts,
-            top_k,
-            score_threshold=self.drops_on_score,
-            aux_loss_coef=aux_loss_coef,
-        )
 
 
 @dataclass
@@ -89,10 +51,10 @@ class GateOutput:
         assignments the *policy* forcibly drops before any capacity rule is
         applied.  Invariant (asserted once, in :meth:`TopKGate.__call__`):
         a policy that does not drop early (``drops_early=False`` — e.g. the
-        default softmax top-k under ``DropPolicy.CAPACITY_ONLY``) must emit
-        an all-``False`` mask, because capacity-only dropping happens later,
+        default softmax top-k without ``score_threshold``) must emit an
+        all-``False`` mask, because capacity-only dropping happens later,
         during PFT construction or padded dispatch; a policy that does drop
-        early (``SCORE_THRESHOLD``'s negative-raw-score rule, switch-top-1's
+        early (``score_threshold``'s negative-raw-score rule, switch-top-1's
         capacity-factor rule) decides those drops here, before any capacity
         is known downstream.
     aux_loss:
@@ -121,7 +83,6 @@ class TopKGate:
         top_k: int,
         *,
         rng: np.random.Generator | None = None,
-        drop_policy: DropPolicy = DropPolicy.CAPACITY_ONLY,
         aux_loss_coef: float = 0.01,
         policy: RouterPolicy | None = None,
     ):
@@ -131,14 +92,13 @@ class TopKGate:
         self.hidden_size = hidden_size
         self.num_experts = num_experts
         self.top_k = top_k
-        self.drop_policy = drop_policy
         self.aux_loss_coef = aux_loss_coef
         std = 1.0 / np.sqrt(hidden_size)
         self.weight = Tensor(
             rng.normal(0.0, std, size=(hidden_size, num_experts)), requires_grad=True
         )
         if policy is None:
-            policy = drop_policy.to_policy(
+            policy = SoftmaxTopKPolicy(
                 hidden_size, num_experts, top_k, aux_loss_coef=aux_loss_coef
             )
         elif policy.num_experts != num_experts:

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.moe.blocks import CausalSelfAttention, LayerNorm, Linear
 from repro.moe.experts import ExpertBank
-from repro.moe.gating import DropPolicy, TopKGate
+from repro.moe.gating import TopKGate
 from repro.routing.policies import ROUTER_POLICY_NAMES, make_policy
 from repro.tensor import ops
 from repro.tensor.autograd import Tensor
@@ -46,10 +46,11 @@ MoELayerFactory = Callable[[TopKGate, ExpertBank, float], MoELayerProtocol]
 class TransformerConfig:
     """Architecture of the tiny validation transformer.
 
-    ``router`` names a registered :mod:`repro.routing.policies` policy; the
-    default ``"softmax-topk"`` reproduces the legacy gate bit for bit (with
-    ``drop_policy`` selecting its score-threshold knob), while any other
-    name routes every MoE layer through that policy instead.
+    ``router`` names a registered :mod:`repro.routing.policies` policy that
+    every MoE layer builds through ``make_policy``.  ``score_threshold``
+    turns on the softmax top-k router's negative-score dropping
+    (DeepSpeed-MoE's rule, §5.6); it is rejected for routers that have no
+    such knob.
     """
 
     vocab_size: int = 512
@@ -60,7 +61,7 @@ class TransformerConfig:
     num_layers: int = 2
     seq_length: int = 64
     capacity_factor: float = 1.25
-    drop_policy: DropPolicy = DropPolicy.CAPACITY_ONLY
+    score_threshold: bool = False
     aux_loss_coef: float = 0.01
     router: str = "softmax-topk"
     router_seed: int = 0
@@ -95,26 +96,23 @@ class _TransformerLayer:
         self.ln1 = LayerNorm(config.hidden_size)
         self.attn = CausalSelfAttention(config.hidden_size, rng)
         self.ln2 = LayerNorm(config.hidden_size)
-        if config.router == "softmax-topk":
-            # None lets TopKGate build the DropPolicy-matched default policy,
-            # keeping this path bit-identical to the pre-policy gate.
-            policy = None
-        else:
-            policy = make_policy(
-                config.router,
-                config.hidden_size,
-                config.num_experts,
-                config.top_k,
-                capacity_factor=config.capacity_factor,
-                aux_loss_coef=config.aux_loss_coef,
-                seed=config.router_seed,
-            )
+        # Only a set knob is passed, so a router without one raises.
+        knobs = {"score_threshold": True} if config.score_threshold else {}
+        policy = make_policy(
+            config.router,
+            config.hidden_size,
+            config.num_experts,
+            config.top_k,
+            capacity_factor=config.capacity_factor,
+            aux_loss_coef=config.aux_loss_coef,
+            seed=config.router_seed,
+            **knobs,
+        )
         gate = TopKGate(
             config.hidden_size,
             config.num_experts,
             config.top_k,
             rng=rng,
-            drop_policy=config.drop_policy,
             aux_loss_coef=config.aux_loss_coef,
             policy=policy,
         )

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.config.parallel_config import ParallelConfig
 from repro.obs.detect import (
     SEVERITIES,
     Alert,
@@ -60,7 +61,7 @@ class TuningRecommendation:
     step: int
     alert: Alert
     #: the replacement :class:`~repro.config.ParallelConfig` the tuner ranked best.
-    plan: object
+    plan: ParallelConfig
     #: whether the proposal actually differs from the active plan.
     differs: bool
     reason: str
@@ -74,9 +75,9 @@ class TuningRecommendation:
             "differs": self.differs,
             "reason": self.reason,
             "plan": {
-                "ep_size": getattr(plan, "ep_size", None),
-                "tp_size": getattr(plan, "tp_size", None),
-                "dispatch_kind": getattr(plan, "dispatch_kind", None),
+                "ep_size": plan.ep_size,
+                "tp_size": plan.tp_size,
+                "dispatch": plan.dispatch,
             },
         }
 

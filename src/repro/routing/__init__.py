@@ -11,8 +11,9 @@ front of their experts", split into two orthogonal layers:
     ``TopKGate`` path), Switch top-1 with exploration noise and
     capacity-factor dropping, noisy top-k with z-loss, and expert-choice
     routing (experts pick tokens; load balance by construction).  Policies
-    are the *experimental axis*: swap one in via ``ModelConfig.router``,
-    `make_policy`, or the ``--router`` CLI flag.  Every policy also has a
+    are the *experimental axis*: swap one in via ``MoEModelConfig.router``,
+    ``TransformerConfig.router``, `make_policy`, or the ``--router`` CLI
+    flag.  Every policy also has a
     rank-batched path (``route_batch`` / ``decide_batch``): one stacked
     projection + vectorized selection for a whole EP group, bit-identical
     to per-rank ``route`` calls — the hot path of
@@ -23,13 +24,17 @@ front of their experts", split into two orthogonal layers:
     :mod:`repro.routing.engine`)
     A decision becomes a PFT (``RoutingDecision.to_pft``), per-rank PFTs are
     compiled by :class:`FlatPlanner` (single uneven all-to-all; the
-    correctness oracle) or :class:`RBDPlanner` (two-stage
-    redundancy-bypassing dispatch) into a :class:`DispatchPlan` — all
+    correctness oracle), :class:`RBDPlanner` (two-stage
+    redundancy-bypassing dispatch) or :class:`HierarchicalPlanner` (two
+    hops through per-node leaders) into a :class:`DispatchPlan` — all
     dispatch/combine bookkeeping as flat numpy arrays, built once per step —
     and :class:`PlanDispatcher` executes the plan behind the
     :class:`Dispatcher` protocol (``plan → dispatch → run_experts →
-    combine``).  Policy-dropped tokens never enter the plan, so their
-    combine rows are exactly zero on both paths; flat and RBD outputs are
+    combine``).  ``make_dispatcher(group, num_experts, kind=...)`` is the
+    one constructor, with ``kind`` in :data:`DISPATCH_KINDS` — the same
+    value as ``ParallelConfig.dispatch`` and the ``--dispatch`` CLI flag.
+    Policy-dropped tokens never enter the plan, so their combine rows are
+    exactly zero on every path; flat, RBD and hier outputs are
     bit-identical.
 
 **Plan cache — skip the work when routing barely changes**
@@ -50,10 +55,9 @@ front of their experts", split into two orthogonal layers:
     step over step; ``benchmarks/test_router_policies.py`` sweeps every
     policy over flat and RBD dispatch and prints the comparison table.
 
-The legacy classes :class:`repro.xmoe.pipeline.DistributedMoEDispatcher`
-and :class:`repro.xmoe.rbd.RBDDispatcher` are thin wrappers over this
-engine, and :class:`repro.moe.gating.TopKGate` delegates its selection to a
-policy (``DropPolicy`` maps onto the default policy's score-threshold knob).
+:class:`repro.moe.gating.TopKGate` delegates its selection to a policy;
+``TransformerConfig.score_threshold`` is the default policy's
+score-threshold knob.
 """
 
 from repro.routing.plan import DispatchPlan

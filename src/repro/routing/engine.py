@@ -425,20 +425,17 @@ def make_dispatcher(
     group: ProcessGroup,
     num_experts: int,
     *,
-    kind: str | None = None,
-    use_rbd: bool = False,
+    kind: str = "flat",
     expert_to_rank: np.ndarray | None = None,
     seed: int = 0,
 ) -> PlanDispatcher:
     """Build a plan-based dispatcher for one dispatch strategy.
 
     ``kind`` picks the planner: ``"flat"`` (single uneven all-to-all, the
-    correctness oracle), ``"rbd"`` (two-stage redundancy-bypassing), or
-    ``"hier"`` (two-hop hierarchical dispatch through node leaders).  The
-    legacy boolean ``use_rbd`` is honoured when ``kind`` is omitted.
+    correctness oracle), ``"rbd"`` (two-stage redundancy-bypassing, pilots
+    drawn from ``(seed, step)``), or ``"hier"`` (two-hop hierarchical
+    dispatch through node leaders).
     """
-    if kind is None:
-        kind = "rbd" if use_rbd else "flat"
     if kind == "rbd":
         planner: _PlannerBase = RBDPlanner(
             group, num_experts, expert_to_rank, seed=seed

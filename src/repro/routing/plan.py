@@ -182,7 +182,7 @@ class DispatchPlan:
         return int(sum(r.size for r in self.send_rows))
 
     def stats_dict(self, row_bytes: int) -> dict[str, float]:
-        """The legacy ``last_stats`` payload, derived from the plan."""
+        """Pilot/replica counts, redundancy and stage bytes of this plan."""
         return {
             "total_assignments": float(self.total_assignments),
             "pilots": float(self.total_pilots),

@@ -555,12 +555,6 @@ class RBDPlanner(_PlannerBase):
             return np.random.default_rng(self.seed)
         return np.random.default_rng((self.seed, int(step)))
 
-    def stage0(self, pft, rng: np.random.Generator) -> RBDPlan:
-        """Pilot/replica selection for one source rank's PFT."""
-        dest_rank = self.expert_to_rank[pft.expert_ids]
-        dest_node = self.rank_to_node[dest_rank]
-        return select_pilots(pft, dest_rank, dest_node, self.num_nodes, rng)
-
     def build(self, pfts: list, *, step: int | None = None) -> DispatchPlan:
         """Compile per-rank PFTs into an RBD plan (pilots drawn from ``step``)."""
         return self._compile(pfts, rng=self._rng(step))

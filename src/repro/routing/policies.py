@@ -646,8 +646,7 @@ class SoftmaxTopKPolicy(_PolicyBase):
     whose *raw* (pre-softmax) logit is negative as dropped — DeepSpeed-MoE's
     rule (§5.6).  With the default ``score_threshold=False`` it never drops
     anything itself: all dropping is capacity-only, applied later during PFT
-    construction.  This is the invariant behind
-    :class:`repro.moe.gating.DropPolicy`.
+    construction.  ``TransformerConfig.score_threshold`` sets this knob.
     """
 
     name = "softmax-topk"

@@ -107,7 +107,7 @@ class Calibration:
         """
         return self.route_seconds_per_assignment * assignments
 
-    def plan_overhead_seconds(self, dispatch_kind: str, assignments: float) -> float:
+    def plan_overhead_seconds(self, dispatch: str, assignments: float) -> float:
         """CPU-side plan-build seconds for one plan over ``assignments`` rows.
 
         The hierarchical planner has no dedicated micro-benchmark record
@@ -120,8 +120,8 @@ class Calibration:
         the cold build (hit rate 0 — no cache measured — charges the full
         build every step, exactly the pre-cache behavior).
         """
-        per_assignment = self.plan_build_seconds_per_assignment.get(dispatch_kind)
-        if per_assignment is None and dispatch_kind == "hier":
+        per_assignment = self.plan_build_seconds_per_assignment.get(dispatch)
+        if per_assignment is None and dispatch == "hier":
             per_assignment = self.plan_build_seconds_per_assignment.get("rbd")
         if per_assignment is None:
             return 0.0

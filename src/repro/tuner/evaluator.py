@@ -156,7 +156,7 @@ class MemoizingEvaluator:
         p = candidate.parallel
         return self._memory_signature(candidate) + (
             p.global_batch_size,
-            p.dispatch_kind,
+            p.dispatch,
         )
 
     # ------------------------------------------------------------------
@@ -224,7 +224,7 @@ class MemoizingEvaluator:
         # route + PFT construction) runs once per plan, like the build.
         assignments = model.top_k * perf.tokens_per_device * parallel.ep_size
         overhead = plans_per_step * (
-            self.calibration.plan_overhead_seconds(parallel.dispatch_kind, assignments)
+            self.calibration.plan_overhead_seconds(parallel.dispatch, assignments)
             + self.calibration.route_overhead_seconds(assignments)
         )
         step_seconds = perf.iteration_time()
@@ -239,7 +239,7 @@ class MemoizingEvaluator:
         # Dispatch + combine cross the node boundary once each per MoE layer
         # per micro-batch; scale one EP group's traffic to the whole job.
         ep_groups = max(1, parallel.world_size // parallel.ep_size)
-        layer_inter = perf.dispatch_inter_node_bytes(parallel.dispatch_kind)
+        layer_inter = perf.dispatch_inter_node_bytes(parallel.dispatch)
         inter_bytes = 2.0 * layer_inter * plans_per_step * ep_groups
 
         entry = _PerfEntry(

@@ -90,7 +90,7 @@ class TuningReport:
         """The winner's :class:`~repro.config.parallel_config.ParallelConfig`.
 
         Pass it straight to :func:`~repro.xmoe.trainer.dispatcher_for_config`
-        (the dispatch strategy rides along on ``dispatch_kind``).
+        (the dispatch strategy rides along on ``dispatch``).
         """
         return self.best.candidate.parallel
 
@@ -115,7 +115,7 @@ class TuningReport:
                     "tp": parallel.tp_size,
                     "zero": int(parallel.zero_stage),
                     "ssmb": "on" if parallel.use_ssmb else "off",
-                    "dispatch": parallel.dispatch_kind,
+                    "dispatch": parallel.dispatch,
                     "placement": parallel.placement.value,
                     "router": score.candidate.router,
                     "cap": score.candidate.capacity_factor,

@@ -9,10 +9,9 @@ Sub-modules:
 * :mod:`repro.xmoe.kernels` — padding-free gather / scatter / sequential-GEMM
   "kernels" (numpy stand-ins for the Triton kernels) plus a kernel cost
   model used by the time-breakdown benchmarks.
-* :mod:`repro.xmoe.pipeline` — the padding-free MoE layer (single-process
-  autograd version for training, distributed numpy version for multi-rank
-  dispatch correctness).
-* :mod:`repro.xmoe.rbd` — hierarchical Redundancy-Bypassing Dispatch.
+* :mod:`repro.xmoe.pipeline` — the single-process padding-free MoE layer
+  (multi-rank dispatch is :func:`repro.routing.make_dispatcher`).
+* :mod:`repro.xmoe.rbd` — Redundancy-Bypassing Dispatch redundancy analysis.
 * :mod:`repro.xmoe.ssmb` — sequence-sharded MoE blocks.
 * :mod:`repro.xmoe.parallelism` — hybrid parallelism planning (EP-first vs
   DP-first placement, expert-to-rank maps, group construction).
@@ -37,8 +36,8 @@ from repro.xmoe.kernels import (
     sequential_gemm,
     KernelCostModel,
 )
-from repro.xmoe.pipeline import PaddingFreeMoELayer, PaddingFreeStats, DistributedMoEDispatcher
-from repro.xmoe.rbd import RBDDispatcher, RBDPlan, redundancy_rate
+from repro.xmoe.pipeline import PaddingFreeMoELayer, PaddingFreeStats
+from repro.xmoe.rbd import redundancy_rate
 from repro.xmoe.ssmb import SequenceShardedMoEBlock, ssmb_activation_saving_bytes
 from repro.xmoe.parallelism import PlacementPlan, plan_placement, expert_to_rank_map
 from repro.xmoe.memory_model import (
@@ -72,9 +71,6 @@ __all__ = [
     "KernelCostModel",
     "PaddingFreeMoELayer",
     "PaddingFreeStats",
-    "DistributedMoEDispatcher",
-    "RBDDispatcher",
-    "RBDPlan",
     "redundancy_rate",
     "SequenceShardedMoEBlock",
     "ssmb_activation_saving_bytes",

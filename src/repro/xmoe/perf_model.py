@@ -176,21 +176,17 @@ class MoEPerformanceModel:
             self.model.num_experts, self.model.top_k, self._ep_nodes()
         )
 
-    def _effective_dispatch(
-        self, use_rbd: bool | None = None, dispatch: str | None = None
-    ) -> str:
+    def _effective_dispatch(self, dispatch: str | None = None) -> str:
         """Resolve the dispatch strategy a breakdown should price.
 
-        An explicit ``dispatch`` wins; the legacy ``use_rbd`` boolean maps to
-        flat/RBD; with neither, X-MoE follows ``parallel.dispatch_kind`` and
-        the padded baselines always run their own flat (even) exchange.
+        An explicit ``dispatch`` wins; otherwise X-MoE follows
+        ``parallel.dispatch`` and the padded baselines always run their own
+        flat (even) exchange.
         """
         if dispatch is not None:
             return dispatch
-        if use_rbd is not None:
-            return "rbd" if use_rbd else "flat"
         if self.kind is SystemKind.XMOE:
-            return self.parallel.dispatch_kind
+            return self.parallel.dispatch
         return "flat"
 
     def _a2a_bytes_per_rank(self) -> float:
@@ -266,9 +262,7 @@ class MoEPerformanceModel:
     # ------------------------------------------------------------------
     # Per-layer breakdown (forward)
     # ------------------------------------------------------------------
-    def moe_layer_breakdown(
-        self, *, use_rbd: bool | None = None, dispatch: str | None = None
-    ) -> LayerTimeBreakdown:
+    def moe_layer_breakdown(self, *, dispatch: str | None = None) -> LayerTimeBreakdown:
         """Forward time breakdown of a single MoE layer."""
         model = self.model
         kind = self.kind
@@ -283,7 +277,6 @@ class MoEPerformanceModel:
         ep = self.parallel.ep_size
         experts_local = max(1, e // ep)
         capacity = compute_capacity(tokens, k, e, model.capacity_factor)
-        dispatch_kind = self._effective_dispatch(use_rbd, dispatch)
 
         padded = kind in (SystemKind.DEEPSPEED_MOE, SystemKind.DEEPSPEED_TED, SystemKind.TUTEL)
 
@@ -315,7 +308,7 @@ class MoEPerformanceModel:
 
         # --- all-to-alls ---------------------------------------------------
         dispatch_a2a = sum(
-            est.seconds for est in self.dispatch_comm_estimates(dispatch_kind)
+            est.seconds for est in self.dispatch_comm_estimates(dispatch)
         )
         combine_a2a = dispatch_a2a
         combine_bytes_factor = 2.0 if kind is SystemKind.TUTEL else 1.0
@@ -343,8 +336,15 @@ class MoEPerformanceModel:
         )
 
     # ------------------------------------------------------------------
-    def dispatch_breakdown(self, *, use_rbd: bool) -> DispatchBreakdown:
-        """Dispatch-stage decomposition for Fig. 12 (padding-free pipeline)."""
+    def dispatch_breakdown(self, dispatch: str) -> DispatchBreakdown:
+        """Dispatch-stage decomposition for Fig. 12 (padding-free pipeline).
+
+        Decomposes ``"flat"`` and ``"rbd"``; any other kind raises.
+        """
+        if dispatch not in ("flat", "rbd"):
+            raise ValueError(
+                f"dispatch_breakdown decomposes 'flat' and 'rbd', not {dispatch!r}"
+            )
         model = self.model
         tokens = self.tokens_per_device
         h, k = model.hidden_size, model.top_k
@@ -353,7 +353,7 @@ class MoEPerformanceModel:
         rows = k * tokens
         buffer_time = self.kernels.gather_time(rows, h, dtype)
         bytes_per_rank = rows * h * dtype
-        if not use_rbd:
+        if dispatch == "flat":
             est = uniform_alltoall_time(
                 self.network, ranks, bytes_per_rank / max(1, ranks.size)
             )

@@ -21,34 +21,29 @@ the output sequence.  Because the plan engine folds the partial sums in the
 same order on both paths, this produces **bit-identical** results to the
 flat dispatch while moving only the non-redundant rows across nodes.
 
-Since the vectorized routing-plan refactor, :class:`RBDDispatcher` is a thin
-compatibility wrapper over :class:`repro.routing.PlanDispatcher` driven by a
-:class:`repro.routing.RBDPlanner`: all bookkeeping (send orders, splits,
-arrival tables, ``searchsorted``-based pilot-slot indices, merge orders) is
-compiled once per step into a :class:`repro.routing.DispatchPlan` of flat
-numpy arrays, and every data-carrying exchange still goes through the
-:class:`~repro.comm.process_group.ProcessGroup` collectives so the recorded
-communication statistics reflect the inter- vs intra-node byte split.
+This module holds the redundancy analysis behind Fig. 4.  The dispatch
+itself is ``make_dispatcher(group, num_experts, kind="rbd")`` in
+:mod:`repro.routing`: a :class:`repro.routing.RBDPlanner` compiles all
+bookkeeping (send orders, splits, arrival tables, pilot-slot indices, merge
+orders) once per step into a :class:`repro.routing.DispatchPlan` of flat
+numpy arrays, which a :class:`repro.routing.PlanDispatcher` executes over
+the :class:`~repro.comm.process_group.ProcessGroup` collectives, so the
+recorded communication statistics reflect the inter- vs intra-node byte
+split.  ``plan.stats_dict(row_bytes)`` reports pilots, replicas and the
+redundancy rate of the plan a dispatch used.
 
 Determinism: pilot selection derives a fresh generator from ``(seed, step)``
-on every dispatch, so dispatching the same PFTs twice with the same ``step``
-(or the default ``step=None``) picks the same pilots.  Pass an incrementing
-``step`` to decorrelate pilot choices across training steps while keeping
-each step reproducible.
+on every plan build, so dispatching the same PFTs twice with the same
+``step`` (or the default ``step=None``) picks the same pilots.  Pass an
+incrementing ``step`` to decorrelate pilot choices across training steps
+while keeping each step reproducible.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.process_group import ProcessGroup
-from repro.routing.engine import PlanDispatcher
-from repro.routing.plan import DispatchPlan
-from repro.routing.planner import RBDPlan, RBDPlanner
-
 __all__ = [
-    "RBDDispatcher",
-    "RBDPlan",
     "expected_redundancy_rate",
     "redundancy_rate",
 ]
@@ -112,111 +107,3 @@ def expected_redundancy_rate(num_experts: int, top_k: int, num_nodes: int) -> fl
     expected_nodes = num_nodes * (1.0 - p_miss)
     expected_nodes = min(expected_nodes, float(top_k))
     return 1.0 - expected_nodes / top_k
-
-
-class RBDDispatcher:
-    """Redundancy-bypassing dispatch over an expert-parallel process group.
-
-    Compatibility wrapper: the routing decisions live in
-    :class:`repro.routing.RBDPlanner` and the data movement in
-    :class:`repro.routing.PlanDispatcher`; this class preserves the
-    historical ``dispatch / run_experts / combine`` call surface and the
-    ``last_stats`` payload.
-    """
-
-    def __init__(
-        self,
-        group: ProcessGroup,
-        num_experts: int,
-        expert_to_rank: np.ndarray | None = None,
-        *,
-        seed: int = 0,
-    ):
-        self.planner = RBDPlanner(group, num_experts, expert_to_rank, seed=seed)
-        self.engine = PlanDispatcher(group, self.planner)
-        self.group = group
-        self.num_experts = num_experts
-        self.expert_to_rank = self.planner.expert_to_rank
-        self.rank_to_node = self.planner.rank_to_node
-        self.seed = seed
-        self.last_stats: dict[str, float] | None = None
-        self.last_plan: DispatchPlan | None = None
-
-    def experts_on_rank(self, local_rank: int) -> np.ndarray:
-        """Global ids of the experts hosted by a group-local rank."""
-        return self.planner.experts_on_rank(local_rank)
-
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
-    def plan(self, per_rank_pfts: list, *, step: int | None = None) -> DispatchPlan:
-        """Build the full routing plan — exactly what :meth:`dispatch` uses.
-
-        Deterministic: the generator is re-derived from ``(seed, step)`` on
-        every call, so the same PFTs always yield the same plan.
-        """
-        return self.engine.plan(per_rank_pfts, step=step)
-
-    def stage0_plan(self, pft, *, step: int | None = None) -> RBDPlan:
-        """Standalone stage-0 pilot selection for one source rank's PFT.
-
-        Deterministic per call (the generator is re-derived from
-        ``(seed, step)``), and drawn from the same distribution as
-        :meth:`dispatch` — one uniformly random pilot per (token, node)
-        group — but as an independent sample: the full planner permutes
-        the global assignment table across all ranks, so the specific
-        pilot rows it picks are not reproducible from a single PFT.  Use
-        :meth:`plan` (or the plan returned by :meth:`dispatch`) when the
-        actual dispatched pilot set matters.
-        """
-        return self.planner.stage0(pft, self.planner._rng(step))
-
-    # ------------------------------------------------------------------
-    # Dispatch / experts / combine (the Dispatcher protocol)
-    # ------------------------------------------------------------------
-    def dispatch(
-        self,
-        per_rank_tokens: list[np.ndarray],
-        per_rank_pfts: list,
-        *,
-        plan: DispatchPlan | None = None,
-        step: int | None = None,
-    ) -> tuple[list[np.ndarray], DispatchPlan]:
-        """Route tokens to expert-hosting ranks with redundancy bypassing."""
-        expert_inputs, plan = self.engine.dispatch(
-            per_rank_tokens, per_rank_pfts, plan=plan, step=step
-        )
-        hidden = per_rank_tokens[0].shape[1]
-        row_bytes = hidden * per_rank_tokens[0].dtype.itemsize
-        self.last_stats = plan.stats_dict(row_bytes)
-        self.last_plan = plan
-        return expert_inputs, plan
-
-    def run_experts(
-        self,
-        expert_inputs: list[np.ndarray],
-        plan: DispatchPlan,
-        per_rank_w1: list[np.ndarray],
-        per_rank_w2: list[np.ndarray],
-        *,
-        activation: str = "silu",
-    ) -> list[np.ndarray]:
-        """Run each rank's local experts over its grouped input buffer."""
-        return self.engine.run_experts(
-            expert_inputs, plan, per_rank_w1, per_rank_w2, activation=activation
-        )
-
-    def combine(
-        self,
-        per_rank_expert_outputs: list[np.ndarray],
-        plan: DispatchPlan,
-        num_tokens_per_rank: list[int],
-        **fused,
-    ) -> list[np.ndarray]:
-        """Weighted combine with the reverse of the two-stage dispatch.
-
-        ``fused`` forwards the engine's ``program=`` / ``workspace=``.
-        """
-        return self.engine.combine(
-            per_rank_expert_outputs, plan, num_tokens_per_rank, **fused
-        )

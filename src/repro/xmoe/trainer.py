@@ -12,7 +12,7 @@ configuration that fits in memory.
 :func:`dispatcher_for_config` and :func:`policy_for_config` bridge the
 analytic trainer and the functional substrate: the former returns the
 plan-based dispatch engine (flat, RBD, or hierarchical, per
-``parallel.dispatch_kind``), the latter the
+``parallel.dispatch``), the latter the
 :class:`~repro.routing.policies.RouterPolicy` named by ``model.router`` —
 and :func:`run_routing_validation` drives both through the shared
 :class:`~repro.runtime.StepRuntime` (one rank-batched route/PFT/dispatch
@@ -53,17 +53,16 @@ def dispatcher_for_config(
 ) -> PlanDispatcher:
     """The dispatch engine a training configuration calls for.
 
-    ``parallel.dispatch_kind`` picks the planner — ``"flat"`` (single
-    uneven all-to-all), ``"rbd"`` (two-stage redundancy-bypassing; also
-    selected by the legacy ``use_rbd=True``), or ``"hier"`` (two-hop
-    hierarchical dispatch through node leaders).  All three sit behind the
+    ``parallel.dispatch`` picks the planner — ``"flat"`` (single uneven
+    all-to-all), ``"rbd"`` (two-stage redundancy-bypassing), or ``"hier"``
+    (two-hop hierarchical dispatch through node leaders).  All three sit behind the
     same :class:`~repro.routing.engine.Dispatcher` protocol, so callers are
     agnostic to which one they drive.
     """
     return make_dispatcher(
         group,
         num_experts,
-        kind=parallel.dispatch_kind,
+        kind=parallel.dispatch,
         expert_to_rank=expert_to_rank,
         seed=seed,
     )
@@ -110,8 +109,7 @@ def run_routing_validation(
     tokens_per_rank: int,
     steps: int = 2,
     capacity_factor: float = 1.25,
-    use_rbd: bool = False,
-    dispatch: str | None = None,
+    dispatch: str = "flat",
     seed: int = 0,
     skew: float = 0.0,
     system: SystemSpec | None = None,
@@ -123,8 +121,7 @@ def run_routing_validation(
     is routed by **one rank-batched call** (stacked projection + vectorized
     top-k, bit-identical to the old per-rank loop), the decisions compile to
     PFTs in one batched pass (policy drops filtered, then the standard
-    capacity rule), the selected planner (``dispatch="flat"|"rbd"|"hier"``;
-    the legacy ``use_rbd`` boolean is honoured when ``dispatch`` is omitted)
+    capacity rule), the selected planner (``dispatch="flat"|"rbd"|"hier"``)
     builds the step's :class:`~repro.routing.plan.DispatchPlan`, tokens
     dispatch and combine over the simulated cluster, and the runtime records
     the step into the returned telemetry — payload bytes derived from the
@@ -142,9 +139,7 @@ def run_routing_validation(
         rng=np.random.default_rng(seed),
         seed=seed,
     )
-    dispatcher = make_dispatcher(
-        group, num_experts, kind=dispatch, use_rbd=use_rbd, seed=seed
-    )
+    dispatcher = make_dispatcher(group, num_experts, kind=dispatch, seed=seed)
     telemetry = RoutingTelemetry(num_experts)
     runtime = StepRuntime(
         policy,
@@ -407,7 +402,7 @@ class SimulatedTrainer:
 
         Runs ``model.router`` over the configuration's EP group for a few
         steps (dispatch + combine over the simulated cluster, flat / RBD /
-        hierarchical per ``parallel.dispatch_kind``) and returns the
+        hierarchical per ``parallel.dispatch``) and returns the
         per-step :class:`~repro.routing.telemetry.RoutingTelemetry`.
         ``hidden_size`` defaults to the model's hidden size; pass a smaller
         value for a cheap smoke run, or ``dispatch`` to sweep a strategy
@@ -422,7 +417,7 @@ class SimulatedTrainer:
             tokens_per_rank=tokens_per_rank,
             steps=steps,
             capacity_factor=self.model.capacity_factor,
-            dispatch=dispatch or self.parallel.dispatch_kind,
+            dispatch=dispatch or self.parallel.dispatch,
             seed=self.parallel.router_seed,
             skew=skew,
         )
@@ -487,7 +482,7 @@ def _candidate_parallel_configs(
                 tp_size=tp,
                 zero_stage=zero,
                 use_ssmb=(kind is SystemKind.XMOE and tp > 1),
-                use_rbd=(kind is SystemKind.XMOE),
+                dispatch="rbd" if kind is SystemKind.XMOE else "flat",
                 placement=(
                     PlacementOrder.DP_FIRST
                     if kind is SystemKind.XMOE

@@ -101,7 +101,7 @@ class TestCheckpointingComparison:
             tp_size=2,
             micro_batch_size=1,
             global_batch_size=1024,
-            use_rbd=True,
+            dispatch="rbd",
         )
         result = compare_ssmb_vs_checkpointing(
             paper_config("large"), parallel, frontier_system(32)

@@ -11,7 +11,8 @@ from repro.baselines import (
 )
 from repro.baselines.deepspeed_moe import compute_capacity
 from repro.config import ParallelConfig, large_config
-from repro.moe import DropPolicy, ExpertBank, TopKGate
+from repro.moe import ExpertBank, TopKGate
+from repro.routing import SoftmaxTopKPolicy
 from repro.tensor import Tensor
 
 
@@ -62,15 +63,16 @@ class TestPaddedMoELayer:
 
     def test_score_threshold_policy_drops_more(self, rng):
         tokens = Tensor(rng.normal(size=(48, 16)))
-        drops = {}
-        for policy in (DropPolicy.CAPACITY_ONLY, DropPolicy.SCORE_THRESHOLD):
-            gate = TopKGate(16, 8, 8, rng=np.random.default_rng(1), drop_policy=policy)
+        kept = {}
+        for score_threshold in (False, True):
+            policy = SoftmaxTopKPolicy(16, 8, 8, score_threshold=score_threshold)
+            gate = TopKGate(16, 8, 8, rng=np.random.default_rng(1), policy=policy)
             experts = ExpertBank(8, 16, 8, rng=np.random.default_rng(2))
             layer = PaddedMoELayer(gate, experts, capacity_factor=100.0)
             layer(tokens)
-            drops[policy] = layer.last_stats.kept_assignments
-        # X-MoE's capacity-only policy retains more tokens (§5.6).
-        assert drops[DropPolicy.CAPACITY_ONLY] > drops[DropPolicy.SCORE_THRESHOLD]
+            kept[score_threshold] = layer.last_stats.kept_assignments
+        # X-MoE's capacity-only rule retains more tokens (§5.6).
+        assert kept[False] > kept[True]
 
     def test_dispatch_mask_bytes_dominate(self, gate_and_experts, rng):
         gate, experts = gate_and_experts

@@ -1,5 +1,6 @@
 """Tests for ParallelConfig validation and derived sizes."""
 
+import numpy as np
 import pytest
 
 from repro.config import ParallelConfig, PlacementOrder, ZeroStage
@@ -62,45 +63,40 @@ class TestParallelConfig:
 
 
 class TestDispatchReconciliation:
-    """The dispatch axis vs the legacy use_rbd boolean (edge cases)."""
+    """``dispatch`` is the one field that picks flat / rbd / hier."""
 
     def test_default_is_flat(self):
         cfg = ParallelConfig(world_size=8, global_batch_size=8)
-        assert cfg.dispatch is None
-        assert cfg.dispatch_kind == "flat"
-
-    def test_legacy_use_rbd_selects_rbd(self):
-        cfg = ParallelConfig(world_size=8, use_rbd=True, global_batch_size=8)
-        assert cfg.dispatch_kind == "rbd"
+        assert cfg.dispatch == "flat"
 
     def test_explicit_dispatch_wins_without_legacy_flag(self):
         for kind in ("flat", "rbd", "hier"):
             cfg = ParallelConfig(world_size=8, dispatch=kind, global_batch_size=8)
-            assert cfg.dispatch_kind == kind
+            assert cfg.dispatch == kind
+            assert f"dispatch={kind}" in cfg.describe()
 
     def test_consistent_rbd_spellings_coexist(self):
-        cfg = ParallelConfig(
-            world_size=8, use_rbd=True, dispatch="rbd", global_batch_size=8
-        )
-        assert cfg.dispatch_kind == "rbd"
+        """Config, planner, plan and recorded ops all spell it ``"rbd"``."""
+        from repro.comm import CommWorld
+        from repro.routing import DISPATCH_OPS
+        from repro.xmoe import build_pft, dispatcher_for_config
 
-    def test_explicit_flat_conflicting_with_use_rbd_raises(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            ParallelConfig(
-                world_size=8, use_rbd=True, dispatch="flat", global_batch_size=8
-            )
-
-    def test_explicit_hier_conflicting_with_use_rbd_raises(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            ParallelConfig(
-                world_size=8, use_rbd=True, dispatch="hier", global_batch_size=8
-            )
+        cfg = ParallelConfig(world_size=8, ep_size=8, dispatch="rbd", global_batch_size=8)
+        world = CommWorld(num_ranks=8)
+        dispatcher = dispatcher_for_config(world.world_group(), 8, cfg)
+        pft = build_pft(10**6, np.array([[0, 1], [2, 7]]), np.full((2, 2), 0.5), 8)
+        tokens = [np.ones((2, 4))] * 8
+        _, plan = dispatcher.dispatch(tokens, [pft] * 8)
+        assert dispatcher.planner.kind == plan.kind == cfg.dispatch
+        assert {e.op for e in world.stats.events} == set(DISPATCH_OPS[cfg.dispatch])
 
     def test_conflict_raises_through_with_overrides(self):
-        cfg = ParallelConfig(world_size=8, use_rbd=True, global_batch_size=8)
-        with pytest.raises(ValueError, match="conflicts"):
-            cfg.with_overrides(dispatch="hier")
+        cfg = ParallelConfig(world_size=8, global_batch_size=8)
+        with pytest.raises(ValueError, match="must be one of"):
+            cfg.with_overrides(dispatch="mesh")
 
     def test_unknown_dispatch_rejected(self):
         with pytest.raises(ValueError, match="must be one of"):
             ParallelConfig(world_size=8, dispatch="mesh", global_batch_size=8)
+        with pytest.raises(ValueError, match="must be one of"):
+            ParallelConfig(world_size=8, dispatch=None, global_batch_size=8)

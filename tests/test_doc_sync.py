@@ -26,6 +26,7 @@ def test_docs_are_in_sync():
     checker.check_experiment_index(errors)
     checker.check_verify_command(errors)
     checker.check_cli_docs(errors)
+    checker.check_identifiers(errors)
     assert not errors, "doc-sync problems:\n" + "\n".join(errors)
 
 
@@ -44,6 +45,22 @@ def test_cli_subcommands_discovered():
     assert "train" in commands
     assert "fig9" in commands
     assert len(commands) >= 7
+
+
+def test_stale_camelcase_identifier_is_an_error():
+    """A backticked class name that src/ no longer defines fails the check."""
+    checker = load_checker()
+    defined = checker.defined_identifiers()
+    assert {"PlanDispatcher", "ParallelConfig", "DISPATCH_KINDS"} <= defined
+    text = (
+        "Build a `PlanDispatcher` with `make_dispatcher(kind=...)`, not the "
+        "removed `LegacyFlatWrapper` or `repro.xmoe.RBDLegacyShim`; "
+        "`AsyncStream` is vLLM's name and `Adam`/`PFT` are not CamelCase."
+    )
+    assert checker.stale_identifiers(text, defined) == [
+        "LegacyFlatWrapper",
+        "RBDLegacyShim",
+    ]
 
 
 def test_related_paths_warn_not_fail():

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import PaddedMoELayer
-from repro.moe import (
-    DropPolicy,
-    MoETransformerLM,
-    SyntheticLMDataset,
-    TransformerConfig,
-)
+from repro.moe import MoETransformerLM, SyntheticLMDataset, TransformerConfig
 from repro.tensor import Adam
 from repro.xmoe import PaddingFreeMoELayer
 
@@ -80,9 +75,7 @@ class TestLossValidation:
         """With DeepSpeed's negative-score dropping the curves no longer match
         exactly, but they stay close (the paper's explanation of the small
         residual gap in Fig. 15)."""
-        config_ds = TransformerConfig(
-            **{**tiny_config.__dict__, "drop_policy": DropPolicy.SCORE_THRESHOLD}
-        )
+        config_ds = TransformerConfig(**{**tiny_config.__dict__, "score_threshold": True})
         dataset_a = SyntheticLMDataset(tiny_config.vocab_size, tiny_config.seq_length, seed=4)
         dataset_b = SyntheticLMDataset(tiny_config.vocab_size, tiny_config.seq_length, seed=4)
         ds_model = MoETransformerLM(

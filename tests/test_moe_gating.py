@@ -1,9 +1,10 @@
-"""Tests for top-k gating and the token-dropping policies."""
+"""Tests for top-k gating and the softmax router's two dropping rules."""
 
 import numpy as np
 import pytest
 
-from repro.moe import DropPolicy, TopKGate
+from repro.moe import TopKGate
+from repro.routing import SoftmaxTopKPolicy
 from repro.tensor import Tensor
 
 
@@ -41,12 +42,13 @@ class TestTopKGate:
             assert len(set(row.tolist())) == 6
 
     def test_capacity_only_policy_never_marks_drops(self, tokens):
-        gate = TopKGate(16, 8, 2, rng=np.random.default_rng(0), drop_policy=DropPolicy.CAPACITY_ONLY)
+        gate = TopKGate(16, 8, 2, rng=np.random.default_rng(0))
         assert not gate(tokens).drop_eligible.any()
 
     def test_score_threshold_policy_marks_negative_logits(self, tokens):
         gate = TopKGate(
-            16, 8, 8, rng=np.random.default_rng(0), drop_policy=DropPolicy.SCORE_THRESHOLD
+            16, 8, 8, rng=np.random.default_rng(0),
+            policy=SoftmaxTopKPolicy(16, 8, 8, score_threshold=True),
         )
         out = gate(tokens)
         raw = np.take_along_axis(out.logits.data, out.top_experts, axis=-1)

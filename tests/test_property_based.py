@@ -190,10 +190,8 @@ class TestDispatchOracleProperties:
             pfts.append(build_pft(capacity, top_experts, weights, num_experts))
             tokens.append(toks)
 
-        def run(world, use_rbd):
-            disp = make_dispatcher(
-                world.world_group(), num_experts, use_rbd=use_rbd, seed=seed
-            )
+        def run(world, kind):
+            disp = make_dispatcher(world.world_group(), num_experts, kind=kind, seed=seed)
             inputs, plan = disp.dispatch(tokens, pfts)
             pw1 = [w1[disp.experts_on_rank(r)] for r in range(num_ranks)]
             pw2 = [w2[disp.experts_on_rank(r)] for r in range(num_ranks)]
@@ -202,8 +200,8 @@ class TestDispatchOracleProperties:
 
         world_f = CommWorld(num_ranks=num_ranks)
         world_r = CommWorld(num_ranks=num_ranks)
-        flat_out, flat_plan = run(world_f, use_rbd=False)
-        rbd_out, rbd_plan = run(world_r, use_rbd=True)
+        flat_out, flat_plan = run(world_f, "flat")
+        rbd_out, rbd_plan = run(world_r, "rbd")
         # Property 1: RBD output is bit-identical to the flat oracle.
         for r in range(num_ranks):
             assert flat_out[r].tobytes() == rbd_out[r].tobytes()

@@ -255,21 +255,6 @@ class TestDispatchAxis:
             FlatPlanner,
         )
 
-    def test_dispatch_kind_reconciles_use_rbd(self):
-        cfg = ParallelConfig(world_size=8, ep_size=8, use_rbd=True, global_batch_size=8)
-        assert cfg.dispatch_kind == "rbd"
-        assert cfg.with_overrides(use_rbd=False).dispatch_kind == "flat"
-        assert (
-            cfg.with_overrides(use_rbd=False, dispatch="hier").dispatch_kind == "hier"
-        )
-        with pytest.raises(ValueError):
-            ParallelConfig(
-                world_size=8, ep_size=8, use_rbd=True, dispatch="hier",
-                global_batch_size=8,
-            )
-        with pytest.raises(ValueError):
-            ParallelConfig(world_size=8, ep_size=8, dispatch="bogus", global_batch_size=8)
-
     def test_sweep_dispatch_validation_is_comparable(self):
         """The sweep sees one workload: routing stats agree across kinds."""
         sweep = sweep_dispatch_validation(

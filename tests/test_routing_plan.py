@@ -28,15 +28,16 @@ def run_pipeline(dispatcher, tokens, pfts, w1, w2, num_tokens, *, step=None):
 
 
 class TestPlanConstruction:
-    @pytest.mark.parametrize("use_rbd", [False, True])
-    def test_plan_invariants(self, use_rbd):
+    @pytest.mark.parametrize("rbd", [False, True])
+    def test_plan_invariants(self, rbd):
         world, group, w1, w2, tokens, pfts = build_world(16, 32, 8, 4, 6, 24, seed=11)
-        disp = make_dispatcher(group, 32, use_rbd=use_rbd, seed=1)
+        kind = "rbd" if rbd else "flat"
+        disp = make_dispatcher(group, 32, kind=kind, seed=1)
         plan = disp.plan(pfts)
         plan.validate()
-        assert plan.kind == ("rbd" if use_rbd else "flat")
+        assert plan.kind == kind
         assert plan.total_assignments == sum(p.num_routed_tokens for p in pfts)
-        if not use_rbd:
+        if not rbd:
             assert plan.total_pilots == plan.total_assignments
             assert plan.num_replicas == 0
         else:
@@ -46,8 +47,8 @@ class TestPlanConstruction:
         """Both planners agree on the (token, node) partial groups — the
         invariant behind the bit-identical combine."""
         world, group, w1, w2, tokens, pfts = build_world(16, 32, 8, 4, 6, 24, seed=13)
-        flat_plan = make_dispatcher(group, 32, use_rbd=False).plan(pfts)
-        rbd_plan = make_dispatcher(group, 32, use_rbd=True, seed=5).plan(pfts)
+        flat_plan = make_dispatcher(group, 32).plan(pfts)
+        rbd_plan = make_dispatcher(group, 32, kind="rbd", seed=5).plan(pfts)
         for r in range(16):
             np.testing.assert_array_equal(
                 flat_plan.partial_token[r], rbd_plan.partial_token[r]
@@ -81,8 +82,8 @@ class TestPlanConstruction:
 
     def test_arrival_tables_cover_every_assignment_once(self):
         world, group, w1, w2, tokens, pfts = build_world(8, 16, 8, 4, 4, 16, seed=19)
-        for use_rbd in (False, True):
-            plan = make_dispatcher(group, 16, use_rbd=use_rbd, seed=2).plan(pfts)
+        for kind in ("flat", "rbd"):
+            plan = make_dispatcher(group, 16, kind=kind, seed=2).plan(pfts)
             seen = set()
             for d in range(8):
                 for s, row in zip(plan.arrival_src[d], plan.arrival_row[d]):
@@ -99,8 +100,8 @@ class TestPlanConstruction:
         group = world.world_group()
         empty = build_pft(4, np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2)), 8)
         tokens = [np.zeros((0, 6)) for _ in range(4)]
-        for use_rbd in (False, True):
-            disp = make_dispatcher(group, 8, use_rbd=use_rbd)
+        for kind in ("flat", "rbd"):
+            disp = make_dispatcher(group, 8, kind=kind)
             out, plan = run_pipeline(
                 disp, tokens, [empty] * 4, np.zeros((8, 6, 3)), np.zeros((8, 3, 6)), 0
             )
@@ -119,13 +120,13 @@ class TestDispatcherProtocol:
         world = CommWorld(num_ranks=4)
         assert isinstance(make_dispatcher(world.world_group(), 8).planner, FlatPlanner)
         assert isinstance(
-            make_dispatcher(world.world_group(), 8, use_rbd=True).planner, RBDPlanner
+            make_dispatcher(world.world_group(), 8, kind="rbd").planner, RBDPlanner
         )
 
-    def test_dispatcher_for_config_threads_use_rbd(self):
+    def test_dispatcher_for_config_threads_rbd(self):
         world = CommWorld(num_ranks=8)
-        rbd_cfg = ParallelConfig(world_size=8, ep_size=8, use_rbd=True, global_batch_size=8)
-        flat_cfg = ParallelConfig(world_size=8, ep_size=8, use_rbd=False, global_batch_size=8)
+        rbd_cfg = ParallelConfig(world_size=8, ep_size=8, dispatch="rbd", global_batch_size=8)
+        flat_cfg = ParallelConfig(world_size=8, ep_size=8, global_batch_size=8)
         assert isinstance(
             dispatcher_for_config(world.world_group(), 16, rbd_cfg).planner, RBDPlanner
         )
@@ -133,10 +134,10 @@ class TestDispatcherProtocol:
             dispatcher_for_config(world.world_group(), 16, flat_cfg).planner, FlatPlanner
         )
 
-    @pytest.mark.parametrize("use_rbd", [False, True])
-    def test_engine_matches_local_reference(self, use_rbd):
+    @pytest.mark.parametrize("rbd", [False, True])
+    def test_engine_matches_local_reference(self, rbd):
         world, group, w1, w2, tokens, pfts = build_world(8, 16, 12, 6, 4, 20, seed=23)
-        disp = make_dispatcher(group, 16, use_rbd=use_rbd, seed=7)
+        disp = make_dispatcher(group, 16, kind="rbd" if rbd else "flat", seed=7)
         out, plan = run_pipeline(disp, tokens, pfts, w1, w2, 20)
         for r in range(8):
             ref = local_reference(tokens[r], pfts[r], w1, w2, 20)
@@ -144,7 +145,7 @@ class TestDispatcherProtocol:
 
     def test_prebuilt_plan_is_reused(self):
         world, group, w1, w2, tokens, pfts = build_world(8, 16, 8, 4, 4, 16, seed=29)
-        disp = make_dispatcher(group, 16, use_rbd=True, seed=1)
+        disp = make_dispatcher(group, 16, kind="rbd", seed=1)
         plan = disp.plan(pfts)
         inputs, plan_out = disp.dispatch(tokens, pfts, plan=plan)
         assert plan_out is plan
@@ -176,9 +177,7 @@ class TestRBDDeterminism:
 
     def test_outputs_identical_across_repeat_dispatch(self):
         world, group, w1, w2, tokens, pfts = build_world(8, 16, 8, 4, 4, 16, seed=41)
-        from repro.xmoe import RBDDispatcher
-
-        rbd = RBDDispatcher(group, 16, seed=13)
+        rbd = make_dispatcher(group, 16, kind="rbd", seed=13)
         out_a, _ = run_pipeline(rbd, tokens, pfts, w1, w2, 16)
         out_b, _ = run_pipeline(rbd, tokens, pfts, w1, w2, 16)
         for r in range(8):
@@ -225,9 +224,9 @@ class TestOracle:
         world, group, w1, w2, tokens, pfts = build_world(
             num_ranks, num_experts, 10, 5, top_k, 20, seed=43
         )
-        flat = make_dispatcher(group, num_experts, use_rbd=False)
+        flat = make_dispatcher(group, num_experts)
         world2 = CommWorld(num_ranks=num_ranks)
-        rbd = make_dispatcher(world2.world_group(), num_experts, use_rbd=True, seed=17)
+        rbd = make_dispatcher(world2.world_group(), num_experts, kind="rbd", seed=17)
 
         flat_inputs, _ = flat.dispatch(tokens, pfts)
         rbd_inputs, _ = rbd.dispatch(tokens, pfts)
@@ -248,11 +247,11 @@ class TestOracle:
         world_f, group_f, w1, w2, tokens, pfts = build_world(
             16, 32, hidden, 6, 8, 24, seed=47
         )
-        flat = make_dispatcher(group_f, 32, use_rbd=False)
+        flat = make_dispatcher(group_f, 32)
         flat.dispatch(tokens, pfts)
 
         world_r = CommWorld(num_ranks=16)
-        rbd = make_dispatcher(world_r.world_group(), 32, use_rbd=True, seed=19)
+        rbd = make_dispatcher(world_r.world_group(), 32, kind="rbd", seed=19)
         _, plan = rbd.dispatch(tokens, pfts)
 
         row_bytes = hidden * 8

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.comm import CommWorld
 from repro.config import MoEModelConfig, ParallelConfig, small_config
-from repro.moe import DropPolicy, ExpertBank, TopKGate, TransformerConfig
+from repro.moe import ExpertBank, TopKGate, TransformerConfig
 from repro.routing import (
     ROUTER_POLICY_NAMES,
     ExpertChoicePolicy,
@@ -57,7 +57,7 @@ class TestDefaultPolicyOracle:
     def test_score_threshold_matches_gate(self, hidden):
         gate = TopKGate(
             HIDDEN, EXPERTS, EXPERTS, rng=np.random.default_rng(0),
-            drop_policy=DropPolicy.SCORE_THRESHOLD,
+            policy=SoftmaxTopKPolicy(HIDDEN, EXPERTS, EXPERTS, score_threshold=True),
         )
         out = gate(Tensor(hidden))
         raw = np.take_along_axis(out.logits.data, out.top_experts, axis=-1)
@@ -150,14 +150,7 @@ class TestExpertChoice:
         assert policy.route(hidden, step=0).balance_entropy() >= 0.999
 
 
-class TestDropPolicyWrapper:
-    def test_enum_maps_to_policy(self):
-        for drop_policy in DropPolicy:
-            policy = drop_policy.to_policy(HIDDEN, EXPERTS, TOP_K)
-            assert isinstance(policy, SoftmaxTopKPolicy)
-            assert policy.score_threshold == drop_policy.drops_on_score
-            assert policy.drops_early == drop_policy.drops_on_score
-
+class TestGatePolicyContract:
     def test_invariant_asserted_on_gate_call(self, hidden):
         # A policy claiming drops_early=False must not emit drops; the gate
         # asserts this in exactly one place.
@@ -272,6 +265,33 @@ class TestMoELayersAcceptAnyPolicy:
         with pytest.raises(ValueError, match="router"):
             TransformerConfig(router="bogus")
 
+    def test_score_threshold_reaches_the_gate_policy(self):
+        from repro.moe import MoETransformerLM
+        from repro.xmoe import PaddingFreeMoELayer
+
+        config = TransformerConfig(
+            vocab_size=64, hidden_size=16, ffn_hidden_size=8, num_experts=4,
+            top_k=2, num_layers=1, seq_length=16, score_threshold=True,
+        )
+        model = MoETransformerLM(
+            config, lambda g, e, c: PaddingFreeMoELayer(g, e, c), seed=3
+        )
+        policy = model.layers[0].moe.gate.policy
+        assert isinstance(policy, SoftmaxTopKPolicy) and policy.score_threshold
+
+    @pytest.mark.parametrize("router", ["switch-top1", "noisy-topk", "expert-choice"])
+    def test_score_threshold_rejected_for_routers_without_it(self, router):
+        from repro.moe import MoETransformerLM
+        from repro.xmoe import PaddingFreeMoELayer
+
+        config = TransformerConfig(
+            vocab_size=64, hidden_size=16, ffn_hidden_size=8, num_experts=4,
+            top_k=2, num_layers=1, seq_length=16, router=router,
+            score_threshold=True,
+        )
+        with pytest.raises(TypeError, match="score_threshold"):
+            MoETransformerLM(config, lambda g, e, c: PaddingFreeMoELayer(g, e, c))
+
 
 class TestPlannerBridge:
     """Policies × planners: dropped tokens flow as exact zero rows."""
@@ -292,8 +312,8 @@ class TestPlannerBridge:
         num_ranks, s = 8, 24
         tokens, pfts = self._route_all(router, num_ranks, s, capacity=4)
         world = CommWorld(num_ranks=num_ranks)
-        flat = make_dispatcher(world.world_group(), EXPERTS, use_rbd=False)
-        rbd = make_dispatcher(world.world_group(), EXPERTS, use_rbd=True, seed=1)
+        flat = make_dispatcher(world.world_group(), EXPERTS)
+        rbd = make_dispatcher(world.world_group(), EXPERTS, kind="rbd", seed=1)
         out_flat = flat.combine(
             [b.copy() for b in flat.dispatch(tokens, pfts)[0]],
             flat.plan(pfts),
@@ -326,7 +346,7 @@ class TestPlannerBridge:
             pfts.append(pft)
             tokens.append(hidden)
         world = CommWorld(num_ranks=num_ranks)
-        dispatcher = make_dispatcher(world.world_group(), EXPERTS, use_rbd=True)
+        dispatcher = make_dispatcher(world.world_group(), EXPERTS, kind="rbd")
         inputs, plan = dispatcher.dispatch(tokens, pfts)
         outputs = dispatcher.combine([b.copy() for b in inputs], plan, [s] * num_ranks)
         for rank in range(num_ranks):
@@ -367,7 +387,7 @@ class TestConfigWiring:
             name="tiny", seq_length=32, hidden_size=HIDDEN, ffn_hidden_size=8,
             num_experts=EXPERTS, top_k=2, num_layers=2, router="noisy-topk",
         )
-        parallel = ParallelConfig(world_size=8, ep_size=8, use_rbd=True)
+        parallel = ParallelConfig(world_size=8, ep_size=8, dispatch="rbd")
         telemetry = SimulatedTrainer(model, parallel).validate_routing(
             steps=2, tokens_per_rank=16
         )
@@ -378,7 +398,7 @@ class TestConfigWiring:
     def test_run_routing_validation_deterministic(self):
         kwargs = dict(
             num_ranks=8, num_experts=EXPERTS, top_k=2, hidden_size=HIDDEN,
-            tokens_per_rank=16, steps=2, use_rbd=False, seed=3, skew=1.0,
+            tokens_per_rank=16, steps=2, dispatch="flat", seed=3, skew=1.0,
         )
         a = run_routing_validation("switch-top1", **kwargs)
         b = run_routing_validation("switch-top1", **kwargs)

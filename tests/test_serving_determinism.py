@@ -215,6 +215,7 @@ def test_retune_hook_recommends_a_different_plan_on_drift():
     """The critical drift alert makes the tuner propose a non-active plan."""
     from repro.config import ParallelConfig, frontier_system, paper_config
     from repro.obs import TunerReTuneHook
+    from repro.routing import DISPATCH_KINDS
     from repro.tuner import SearchSpace
 
     model = paper_config("small")
@@ -240,6 +241,11 @@ def test_retune_hook_recommends_a_different_plan_on_drift():
     )
     assert recommendation.plan.ep_size > 1
     assert hook.recommendations == monitor.recommendations
+    # The summary reads the proposed config's fields, never a silent None.
+    summary_plan = recommendation.summary()["plan"]
+    assert summary_plan["dispatch"] in DISPATCH_KINDS
+    assert summary_plan["ep_size"] == recommendation.plan.ep_size
+    assert summary_plan["tp_size"] == recommendation.plan.tp_size
     # deterministic: the same drift yields the same proposal.
     again = _drifted_monitor(
         retune_hook=TunerReTuneHook(model, system, naive, space=space)

@@ -45,7 +45,7 @@ class TestSearchSpace:
             assert p.world_size % p.ep_size == 0
             assert SMALL.num_experts % p.ep_size == 0
             assert p.global_batch_size % p.dp_size == 0
-            assert p.dispatch_kind in ("flat", "rbd", "hier")
+            assert p.dispatch in ("flat", "rbd", "hier")
         assert count >= 200  # the acceptance-scale space
 
     def test_ssmb_only_offered_with_tp(self):
@@ -67,9 +67,9 @@ class TestSearchSpace:
 
     def test_custom_predicates_filter(self):
         space = small_space(
-            predicates=[lambda c: c.parallel.dispatch_kind == "hier"]
+            predicates=[lambda c: c.parallel.dispatch == "hier"]
         )
-        kinds = {c.parallel.dispatch_kind for c in space.candidates()}
+        kinds = {c.parallel.dispatch for c in space.candidates()}
         assert kinds == {"hier"}
 
     def test_model_for_applies_router_and_capacity(self):
@@ -293,7 +293,7 @@ class TestTuneAndReport:
         group = world.world_group()
         dispatcher = dispatcher_for_config(group, tuned_model.num_experts, plan)
         assert dispatcher.planner.__class__.__name__.lower().startswith(
-            {"flat": "flat", "rbd": "rbd", "hier": "hierarchical"}[plan.dispatch_kind]
+            {"flat": "flat", "rbd": "rbd", "hier": "hierarchical"}[plan.dispatch]
         )
         policy = policy_for_config(
             tuned_model.scaled(hidden_size=32), plan, rng=np.random.default_rng(0)
@@ -303,7 +303,7 @@ class TestTuneAndReport:
             for r in range(plan.ep_size)
         ]
         result = StepRuntime(policy, dispatcher).run_step(tokens, step=0)
-        assert result.plan.kind == plan.dispatch_kind
+        assert result.plan.kind == plan.dispatch
         assert all(o.shape == (16, 32) for o in result.outputs)
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from repro.comm import CommWorld
 from repro.moe import TopKGate
+from repro.routing import make_dispatcher
 from repro.tensor import Tensor
-from repro.xmoe import DistributedMoEDispatcher, build_pft
+from repro.xmoe import build_pft
 from repro.xmoe.kernels import gather_kernel, scatter_kernel, sequential_gemm
 
 
@@ -40,7 +41,7 @@ class TestDistributedDispatch:
         world, group, w1, w2, tokens, pfts = build_world(
             num_ranks, num_experts, hidden=12, ffn=6, top_k=3, tokens_per_rank=20
         )
-        disp = DistributedMoEDispatcher(group, num_experts)
+        disp = make_dispatcher(group, num_experts)
         inputs, state = disp.dispatch(tokens, pfts)
         pw1 = [w1[disp.experts_on_rank(r)] for r in range(num_ranks)]
         pw2 = [w2[disp.experts_on_rank(r)] for r in range(num_ranks)]
@@ -52,7 +53,7 @@ class TestDistributedDispatch:
 
     def test_expert_inputs_grouped_by_expert(self):
         world, group, w1, w2, tokens, pfts = build_world(4, 8, 12, 6, 2, 16)
-        disp = DistributedMoEDispatcher(group, 8)
+        disp = make_dispatcher(group, 8)
         inputs, state = disp.dispatch(tokens, pfts)
         for r in range(4):
             counts = state.tokens_per_local_expert[r]
@@ -61,7 +62,7 @@ class TestDistributedDispatch:
 
     def test_total_routed_tokens_conserved(self):
         world, group, w1, w2, tokens, pfts = build_world(8, 16, 10, 5, 4, 24)
-        disp = DistributedMoEDispatcher(group, 16)
+        disp = make_dispatcher(group, 16)
         inputs, state = disp.dispatch(tokens, pfts)
         sent = sum(p.num_routed_tokens for p in pfts)
         received = sum(inp.shape[0] for inp in inputs)
@@ -70,7 +71,7 @@ class TestDistributedDispatch:
     def test_no_padding_travels(self):
         """The all-to-all moves exactly the routed-token bytes, no more."""
         world, group, w1, w2, tokens, pfts = build_world(4, 8, 12, 6, 2, 16)
-        disp = DistributedMoEDispatcher(group, 8)
+        disp = make_dispatcher(group, 8)
         disp.dispatch(tokens, pfts)
         dispatch_events = [e for e in world.stats.events if e.op == "dispatch_a2a"]
         assert len(dispatch_events) == 1
@@ -81,7 +82,7 @@ class TestDistributedDispatch:
         world, group, w1, w2, tokens, pfts = build_world(4, 8, 12, 6, 2, 16)
         # Reverse mapping: expert e lives on rank (3 - e // 2).
         expert_to_rank = np.repeat(np.arange(3, -1, -1), 2)
-        disp = DistributedMoEDispatcher(group, 8, expert_to_rank)
+        disp = make_dispatcher(group, 8, expert_to_rank=expert_to_rank)
         inputs, state = disp.dispatch(tokens, pfts)
         pw1 = [w1[disp.experts_on_rank(r)] for r in range(4)]
         pw2 = [w2[disp.experts_on_rank(r)] for r in range(4)]
@@ -94,11 +95,11 @@ class TestDistributedDispatch:
     def test_expert_count_must_divide(self):
         world = CommWorld(num_ranks=4)
         with pytest.raises(ValueError):
-            DistributedMoEDispatcher(world.world_group(), 6)
+            make_dispatcher(world.world_group(), 6)
 
     def test_bad_expert_map_rejected(self):
         world = CommWorld(num_ranks=4)
         with pytest.raises(ValueError):
-            DistributedMoEDispatcher(world.world_group(), 8, np.full(8, 7))
+            make_dispatcher(world.world_group(), 8, expert_to_rank=np.full(8, 7))
         with pytest.raises(ValueError):
-            DistributedMoEDispatcher(world.world_group(), 8, np.zeros(5, dtype=int))
+            make_dispatcher(world.world_group(), 8, expert_to_rank=np.zeros(5, dtype=int))

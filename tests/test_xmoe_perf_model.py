@@ -10,7 +10,7 @@ from repro.xmoe.perf_model import MoEPerformanceModel
 SYS256 = frontier_system(num_nodes=32)
 
 
-def make_perf(model_name, kind, *, ep=64, tp=1, world=256, use_rbd=False, use_ssmb=False, gbs=1024):
+def make_perf(model_name, kind, *, ep=64, tp=1, world=256, dispatch="flat", use_ssmb=False, gbs=1024):
     model = paper_config(model_name)
     parallel = ParallelConfig(
         world_size=world,
@@ -18,7 +18,7 @@ def make_perf(model_name, kind, *, ep=64, tp=1, world=256, use_rbd=False, use_ss
         tp_size=tp,
         micro_batch_size=1,
         global_batch_size=gbs,
-        use_rbd=use_rbd,
+        dispatch=dispatch,
         use_ssmb=use_ssmb,
     )
     system = frontier_system(num_nodes=max(1, world // 8))
@@ -65,9 +65,9 @@ class TestDispatchPricing:
             sum(e.seconds for e in hier_perf.dispatch_comm_estimates("hier"))
         )
 
-    def test_explicit_use_rbd_argument_still_wins(self):
-        perf = make_perf("small", SystemKind.XMOE, ep=64, use_rbd=True)
-        flat_like = perf.moe_layer_breakdown(use_rbd=False)
+    def test_explicit_dispatch_argument_still_wins(self):
+        perf = make_perf("small", SystemKind.XMOE, ep=64, dispatch="rbd")
+        flat_like = perf.moe_layer_breakdown(dispatch="flat")
         default = perf.moe_layer_breakdown()
         assert default.dispatch_a2a < flat_like.dispatch_a2a
 
@@ -117,8 +117,8 @@ class TestDispatchBreakdownRBD:
         """Fig. 12: with ~55% redundancy RBD cuts the inter-node a2a roughly
         in half and wins overall despite the extra intra-node stage."""
         perf = make_perf("large", SystemKind.XMOE, ep=32, world=32)
-        without = perf.dispatch_breakdown(use_rbd=False)
-        with_rbd = perf.dispatch_breakdown(use_rbd=True)
+        without = perf.dispatch_breakdown("flat")
+        with_rbd = perf.dispatch_breakdown("rbd")
         assert perf.redundancy() == pytest.approx(0.548, abs=0.05)
         reduction = 1.0 - with_rbd.inter_node_a2a / without.inter_node_a2a
         assert 0.35 < reduction < 0.7
@@ -128,14 +128,20 @@ class TestDispatchBreakdownRBD:
     def test_rbd_useless_on_single_node(self):
         perf = make_perf("small", SystemKind.XMOE, ep=8, world=8)
         # One node: redundancy is high but there is no inter-node traffic to save.
-        without = perf.dispatch_breakdown(use_rbd=False)
+        without = perf.dispatch_breakdown("flat")
         assert without.inter_node_a2a >= 0.0
+
+    @pytest.mark.parametrize("dispatch", ["hier", "mesh"])
+    def test_undecomposed_kinds_rejected(self, dispatch):
+        perf = make_perf("small", SystemKind.XMOE, ep=8)
+        with pytest.raises(ValueError, match="decomposes"):
+            perf.dispatch_breakdown(dispatch)
 
 
 class TestThroughput:
     def test_fig9_ordering_on_medium(self):
         """X-MoE > Tutel > TED in achieved TFLOPs on the Medium model."""
-        xm = make_perf("medium", SystemKind.XMOE, ep=64, tp=2, use_ssmb=True, use_rbd=True)
+        xm = make_perf("medium", SystemKind.XMOE, ep=64, tp=2, use_ssmb=True, dispatch="rbd")
         tutel = make_perf("medium", SystemKind.TUTEL, ep=64)
         ted = make_perf("medium", SystemKind.DEEPSPEED_TED, ep=64, tp=4)
         assert xm.throughput_tflops_per_gpu() > tutel.throughput_tflops_per_gpu()
@@ -150,7 +156,7 @@ class TestThroughput:
         xmoe_tflops, tutel_tflops = [], []
         for world, gbs in ((16, 256), (64, 1024), (256, 4096)):
             xmoe_tflops.append(
-                make_perf("small", SystemKind.XMOE, ep=8, world=world, gbs=gbs, use_rbd=True)
+                make_perf("small", SystemKind.XMOE, ep=8, world=world, gbs=gbs, dispatch="rbd")
                 .throughput_tflops_per_gpu()
             )
             tutel_tflops.append(
@@ -166,7 +172,7 @@ class TestThroughput:
         times = []
         for world in (128, 256, 512, 1024):
             perf = make_perf(
-                "medium", SystemKind.XMOE, ep=64, world=world, gbs=2048, use_rbd=True
+                "medium", SystemKind.XMOE, ep=64, world=world, gbs=2048, dispatch="rbd"
             )
             times.append(perf.iteration_time())
         assert all(a > b for a, b in zip(times, times[1:]))
@@ -181,7 +187,7 @@ class TestThroughput:
         for k in (4, 8, 16):
             model = paper_config("large").scaled(top_k=k)
             parallel = ParallelConfig(
-                world_size=256, ep_size=64, tp_size=2, use_ssmb=True, use_rbd=True,
+                world_size=256, ep_size=64, tp_size=2, use_ssmb=True, dispatch="rbd",
                 micro_batch_size=1, global_batch_size=1024,
             )
             xm = MoEPerformanceModel(model, parallel, SYS256, SystemKind.XMOE)
@@ -195,10 +201,10 @@ class TestThroughput:
         assert ratios[-1] > ratios[0]
 
     def test_fig14_ssmb_beats_checkpointing(self):
-        ssmb = make_perf("large", SystemKind.XMOE, ep=64, tp=2, use_ssmb=True, use_rbd=True)
+        ssmb = make_perf("large", SystemKind.XMOE, ep=64, tp=2, use_ssmb=True, dispatch="rbd")
         base = ParallelConfig(
             world_size=256, ep_size=64, tp_size=2, activation_checkpointing=True,
-            micro_batch_size=1, global_batch_size=1024, use_rbd=True,
+            micro_batch_size=1, global_batch_size=1024, dispatch="rbd",
         )
         ckpt = MoEPerformanceModel(paper_config("large"), base, SYS256, SystemKind.XMOE)
         assert ssmb.throughput_tflops_per_gpu() > ckpt.throughput_tflops_per_gpu()

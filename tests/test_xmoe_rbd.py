@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster.topology import LinkTier
 from repro.comm import CommWorld
-from repro.xmoe import DistributedMoEDispatcher, RBDDispatcher
+from repro.routing import make_dispatcher
 from repro.xmoe.rbd import expected_redundancy_rate, redundancy_rate
 from tests.helpers import inter_node_bytes
 from tests.test_xmoe_distributed import build_world, local_reference
@@ -53,7 +53,7 @@ class TestRBDDispatcher:
         world, group, w1, w2, tokens, pfts = build_world(
             num_ranks, num_experts, hidden=10, ffn=5, top_k=top_k, tokens_per_rank=20
         )
-        rbd = RBDDispatcher(group, num_experts, seed=11)
+        rbd = make_dispatcher(group, num_experts, kind="rbd", seed=11)
         inputs, state = rbd.dispatch(tokens, pfts)
         pw1 = [w1[rbd.experts_on_rank(r)] for r in range(num_ranks)]
         pw2 = [w2[rbd.experts_on_rank(r)] for r in range(num_ranks)]
@@ -68,11 +68,11 @@ class TestRBDDispatcher:
         engine's canonical (expert, src, row) ordering makes the inputs
         identical row for row, not merely as multisets."""
         world1, group1, w1, w2, tokens, pfts = build_world(16, 32, 8, 4, 4, 16, seed=3)
-        flat = DistributedMoEDispatcher(group1, 32)
+        flat = make_dispatcher(group1, 32)
         flat_inputs, _ = flat.dispatch(tokens, pfts)
 
         world2 = CommWorld(num_ranks=16)
-        rbd = RBDDispatcher(world2.world_group(), 32, seed=5)
+        rbd = make_dispatcher(world2.world_group(), 32, kind="rbd", seed=5)
         rbd_inputs, _ = rbd.dispatch(tokens, pfts)
         for r in range(16):
             np.testing.assert_array_equal(flat_inputs[r], rbd_inputs[r])
@@ -81,14 +81,14 @@ class TestRBDDispatcher:
         """Stronger than allclose: flat and RBD combine outputs are equal
         bit for bit because both fold partial sums in the same order."""
         world1, group1, w1, w2, tokens, pfts = build_world(16, 32, 10, 5, 6, 20, seed=6)
-        flat = DistributedMoEDispatcher(group1, 32)
+        flat = make_dispatcher(group1, 32)
         fin, fplan = flat.dispatch(tokens, pfts)
         pw1 = [w1[flat.experts_on_rank(r)] for r in range(16)]
         pw2 = [w2[flat.experts_on_rank(r)] for r in range(16)]
         fout = flat.combine(flat.run_experts(fin, fplan, pw1, pw2), fplan, [20] * 16)
 
         world2 = CommWorld(num_ranks=16)
-        rbd = RBDDispatcher(world2.world_group(), 32, seed=8)
+        rbd = make_dispatcher(world2.world_group(), 32, kind="rbd", seed=8)
         rin, rplan = rbd.dispatch(tokens, pfts)
         rout = rbd.combine(rbd.run_experts(rin, rplan, pw1, pw2), rplan, [20] * 16)
         for r in range(16):
@@ -97,12 +97,12 @@ class TestRBDDispatcher:
     def test_reduces_inter_node_bytes(self):
         """The headline claim of §4.2: only pilot tokens cross nodes."""
         world1, group1, w1, w2, tokens, pfts = build_world(16, 32, 12, 6, 6, 24, seed=7)
-        flat = DistributedMoEDispatcher(group1, 32)
+        flat = make_dispatcher(group1, 32)
         flat.dispatch(tokens, pfts)
         flat_bytes = inter_node_bytes(world1.stats, {"dispatch_a2a"})
 
         world2 = CommWorld(num_ranks=16)
-        rbd = RBDDispatcher(world2.world_group(), 32, seed=7)
+        rbd = make_dispatcher(world2.world_group(), 32, kind="rbd", seed=7)
         rbd.dispatch(tokens, pfts)
         rbd_bytes = inter_node_bytes(world2.stats, {"rbd_s1_a2a"})
 
@@ -113,7 +113,7 @@ class TestRBDDispatcher:
 
     def test_stage2_traffic_is_intra_node(self):
         world, group, w1, w2, tokens, pfts = build_world(16, 32, 8, 4, 4, 16, seed=9)
-        rbd = RBDDispatcher(group, 32, seed=9)
+        rbd = make_dispatcher(group, 32, kind="rbd", seed=9)
         rbd.dispatch(tokens, pfts)
         for event in world.stats.events:
             if event.op == "rbd_s2_a2a":
@@ -122,30 +122,32 @@ class TestRBDDispatcher:
 
     def test_plan_counts(self):
         world, group, w1, w2, tokens, pfts = build_world(16, 32, 8, 4, 4, 32, seed=1)
-        rbd = RBDDispatcher(group, 32, seed=1)
-        plan = rbd.stage0_plan(pfts[0])
-        assert plan.num_pilots + plan.num_replicas == pfts[0].num_routed_tokens
+        rbd = make_dispatcher(group, 32, kind="rbd", seed=1)
+        _, plan = rbd.dispatch(tokens, pfts)
+        assert plan.total_assignments == sum(p.num_routed_tokens for p in pfts)
+        assert plan.total_pilots + plan.num_replicas == plan.total_assignments
         assert 0.0 <= plan.redundancy < 1.0
-        # A token going to n distinct nodes contributes exactly n pilots.
-        dest_nodes = rbd.rank_to_node[rbd.expert_to_rank[pfts[0].expert_ids]]
+        # A (source rank, token) going to n distinct nodes contributes
+        # exactly n pilots, and only pilots cross the stage-1 all-to-all.
         expected_pilots = 0
-        for token in np.unique(pfts[0].token_ids):
-            mask = pfts[0].token_ids == token
-            expected_pilots += np.unique(dest_nodes[mask]).size
-        assert plan.num_pilots == expected_pilots
+        for pft in pfts:
+            dest_nodes = rbd.rank_to_node[rbd.expert_to_rank[pft.expert_ids]]
+            expected_pilots += np.unique(np.stack([pft.token_ids, dest_nodes]), axis=1).shape[1]
+        assert plan.total_pilots == expected_pilots
+        assert plan.sent_rows() == expected_pilots
 
     def test_stats_redundancy_consistent_with_plans(self):
         world, group, w1, w2, tokens, pfts = build_world(8, 16, 8, 4, 4, 16, seed=2)
-        rbd = RBDDispatcher(group, 16, seed=2)
-        rbd.dispatch(tokens, pfts)
-        stats = rbd.last_stats
+        rbd = make_dispatcher(group, 16, kind="rbd", seed=2)
+        _, plan = rbd.dispatch(tokens, pfts)
+        stats = plan.stats_dict(row_bytes=8 * 8)
         assert stats["pilots"] + stats["replicas"] == stats["total_assignments"]
         assert 0.0 <= stats["redundancy_rate"] <= 1.0
 
     def test_single_node_group_all_intra(self):
         """With every rank on one node, nothing should cross nodes at all."""
         world, group, w1, w2, tokens, pfts = build_world(8, 16, 8, 4, 2, 12, seed=4)
-        rbd = RBDDispatcher(group, 16, seed=4)
+        rbd = make_dispatcher(group, 16, kind="rbd", seed=4)
         inputs, state = rbd.dispatch(tokens, pfts)
         assert inter_node_bytes(world.stats, {"rbd_s1_a2a", "rbd_s2_a2a"}) == 0.0
         pw1 = [w1[rbd.experts_on_rank(r)] for r in range(8)]
