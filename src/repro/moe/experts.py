@@ -7,7 +7,9 @@ execution styles the paper compares can run on the same weights:
 * **Padded batched matmul** (baseline): a single ``[E, C, H] @ [E, H, F]``
   batched GEMM over fixed-capacity buffers, zero-padding included.
 * **Sequential GEMM** (X-MoE, §4.1.2): one GEMM per expert over exactly the
-  tokens routed to it, no padding.
+  tokens routed to it, no padding.  The whole loop is one tape node,
+  :func:`repro.tensor.ops.grouped_ffn`, with a hand-written vector-Jacobian
+  product (VJP) that writes each expert's gradient slice once.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ class ExpertBank:
     ):
         if num_experts <= 0:
             raise ValueError("num_experts must be positive")
+        if activation not in ops.ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {activation!r}; available: {sorted(ops.ACTIVATIONS)}"
+            )
         rng = rng or np.random.default_rng(0)
         self.num_experts = num_experts
         self.hidden_size = hidden_size
@@ -55,24 +61,7 @@ class ExpertBank:
     def params_per_expert(self) -> int:
         return 2 * self.hidden_size * self.ffn_hidden_size
 
-    def _activate(self, x: Tensor) -> Tensor:
-        if self.activation == "silu":
-            return ops.silu(x)
-        if self.activation == "relu":
-            return ops.relu(x)
-        if self.activation == "gelu":
-            return ops.gelu(x)
-        raise ValueError(f"unknown activation {self.activation!r}")
-
     # ------------------------------------------------------------------
-    def forward_expert(self, expert_id: int, tokens: Tensor) -> Tensor:
-        """Run a single expert's two-layer FFN over ``tokens`` ``[n, H]``."""
-        if not (0 <= expert_id < self.num_experts):
-            raise ValueError(f"expert_id {expert_id} out of range")
-        h = tokens @ self.w1[expert_id]
-        h = self._activate(h)
-        return h @ self.w2[expert_id]
-
     def forward_padded(self, expert_inputs: Tensor) -> Tensor:
         """Batched execution over fixed-capacity buffers ``[E, C, H]``.
 
@@ -84,7 +73,7 @@ class ExpertBank:
                 f"expected [E={self.num_experts}, C, H] inputs, got {expert_inputs.shape}"
             )
         h = expert_inputs @ self.w1  # [E, C, F]
-        h = self._activate(h)
+        h = ops.activate(h, self.activation)
         return h @ self.w2  # [E, C, H]
 
     def forward_sequential(
@@ -95,26 +84,8 @@ class ExpertBank:
         ``tokens`` is ``[B, H]`` with tokens grouped by expert id (ascending)
         and ``tokens_per_expert[e]`` gives each group's length.  Only experts
         with at least one token launch a GEMM, exactly like the loop in
-        §4.1.2 of the paper.
+        §4.1.2 of the paper; see :func:`repro.tensor.ops.grouped_ffn`.
         """
-        tokens_per_expert = np.asarray(tokens_per_expert, dtype=np.int64)
-        if tokens_per_expert.size != self.num_experts:
-            raise ValueError(
-                f"tokens_per_expert has {tokens_per_expert.size} entries, "
-                f"expected {self.num_experts}"
-            )
-        if tokens_per_expert.sum() != tokens.shape[0]:
-            raise ValueError(
-                f"tokens_per_expert sums to {tokens_per_expert.sum()} but buffer "
-                f"has {tokens.shape[0]} rows"
-            )
-        offsets = np.concatenate([[0], np.cumsum(tokens_per_expert)])
-        outputs: list[Tensor] = []
-        for e in range(self.num_experts):
-            lo, hi = int(offsets[e]), int(offsets[e + 1])
-            if hi == lo:
-                continue
-            outputs.append(self.forward_expert(e, tokens[lo:hi]))
-        if not outputs:
-            return Tensor(np.zeros((0, self.hidden_size)))
-        return ops.concat(outputs, axis=0)
+        return ops.grouped_ffn(
+            tokens, self.w1, self.w2, tokens_per_expert, self.activation
+        )

@@ -263,6 +263,13 @@ class StepRuntime:
         trace_hooks: tuple[TraceHook, ...] = (),
         plan_cache: PlanCache | None = None,
     ):
+        from repro.xmoe.kernels import GEMM_ACTIVATIONS
+
+        if activation not in GEMM_ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {activation!r}; the expert kernel "
+                f"implements {sorted(GEMM_ACTIVATIONS)}"
+            )
         self.policy = policy
         self.dispatcher = dispatcher
         self.capacity = capacity

@@ -1,8 +1,9 @@
 """Neural-network operations on :class:`~repro.tensor.autograd.Tensor`.
 
 These free functions build the pieces of the MoE transformer: activations,
-normalization, embeddings, the cross-entropy loss, and the row gather /
-scatter primitives the MoE dispatch and combine stages are built from.
+normalization, embeddings, the cross-entropy loss, the row gather / scatter
+primitives the MoE dispatch and combine stages are built from, and the
+grouped expert FFN that runs between them.
 """
 
 from __future__ import annotations
@@ -24,44 +25,57 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _as_tensor(a) @ _as_tensor(b)
 
 
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
+def _relu(x: np.ndarray):
+    mask = (x > 0).astype(x.dtype)
+    return x * mask, lambda: mask
+
+
+def _silu(x: np.ndarray):
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig, lambda: sig * (1.0 + x * (1.0 - sig))
+
+
+def _gelu(x: np.ndarray):
+    c = np.sqrt(2.0 / np.pi)
+    tanh_inner = np.tanh(c * (x + 0.044715 * x**3))
+
+    def derivative():
+        sech2 = 1.0 - tanh_inner**2
+        d_inner = c * (1.0 + 3 * 0.044715 * x**2)
+        return 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
+
+    return 0.5 * x * (1.0 + tanh_inner), derivative
+
+
+#: ``name -> fn(x) -> (value, derivative thunk)`` on plain arrays: each
+#: activation's arithmetic, written once for the ops below and grouped_ffn.
+ACTIVATIONS = {"relu": _relu, "silu": _silu, "gelu": _gelu}
+
+
+def activate(x: Tensor, activation: str) -> Tensor:
+    """Apply the :data:`ACTIVATIONS` entry named ``activation``."""
     x = _as_tensor(x)
-    mask = (x.data > 0).astype(x.data.dtype)
+    out, derivative = ACTIVATIONS[activation](x.data)
 
     def backward(grad):
-        return (grad * mask,)
+        return (grad * derivative(),)
 
-    return Tensor.from_op(x.data * mask, (x,), backward)
+    return Tensor.from_op(out, (x,), backward)
+
+
+def relu(x: Tensor) -> Tensor:
+    """Rectified linear unit."""
+    return activate(x, "relu")
 
 
 def silu(x: Tensor) -> Tensor:
     """SiLU / swish activation, the FFN activation used by DeepSeek models."""
-    x = _as_tensor(x)
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = x.data * sig
-
-    def backward(grad):
-        return (grad * (sig * (1.0 + x.data * (1.0 - sig))),)
-
-    return Tensor.from_op(out, (x,), backward)
+    return activate(x, "silu")
 
 
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximated GeLU."""
-    x = _as_tensor(x)
-    c = np.sqrt(2.0 / np.pi)
-    inner = c * (x.data + 0.044715 * x.data**3)
-    tanh_inner = np.tanh(inner)
-    out = 0.5 * x.data * (1.0 + tanh_inner)
-
-    def backward(grad):
-        sech2 = 1.0 - tanh_inner**2
-        d_inner = c * (1.0 + 3 * 0.044715 * x.data**2)
-        d = 0.5 * (1.0 + tanh_inner) + 0.5 * x.data * sech2 * d_inner
-        return (grad * d,)
-
-    return Tensor.from_op(out, (x,), backward)
+    return activate(x, "gelu")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -165,7 +179,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# Routing primitives (row gather / scatter, top-k)
+# MoE primitives (row gather / scatter, grouped expert FFN, top-k)
 # ----------------------------------------------------------------------
 def gather_rows(x: Tensor, row_ids: np.ndarray) -> Tensor:
     """``out[i, :] = x[row_ids[i], :]`` — the dispatch gather.
@@ -222,6 +236,62 @@ def scatter_rows(
         return (gx, gw.reshape(w.shape))
 
     return Tensor.from_op(out, (x, w), backward)
+
+
+def grouped_ffn(
+    x: Tensor,
+    w1: Tensor,
+    w2: Tensor,
+    tokens_per_expert: np.ndarray,
+    activation: str = "silu",
+) -> Tensor:
+    """``out[lo:hi] = act(x[lo:hi] @ w1[e]) @ w2[e]`` per expert row group.
+
+    ``x`` is ``[B, H]`` grouped by expert id (ascending), ``w1``/``w2`` are
+    stacked ``[E, H, F]`` / ``[E, F, H]`` weights and ``tokens_per_expert``
+    the ``E`` group lengths.  Only experts with rows run a GEMM.  The whole
+    bank is one tape node with a hand-written backward: the same products
+    as ``Tensor.__matmul__``'s backward, accumulated with ``+=`` into zeroed
+    ``gx``/``gw1``/``gw2`` so every entry is ``0.0 + g`` exactly as
+    per-expert slice-and-matmul nodes give (``-0.0`` handling included).
+    """
+    x, w1, w2 = _as_tensor(x), _as_tensor(w1), _as_tensor(w2)
+    counts = np.asarray(tokens_per_expert, dtype=np.int64)
+    if counts.size != w1.shape[0]:
+        raise ValueError(
+            f"tokens_per_expert has {counts.size} entries, expected {w1.shape[0]}"
+        )
+    if counts.sum() != x.shape[0]:
+        raise ValueError(
+            f"tokens_per_expert sums to {counts.sum()} but x has {x.shape[0]} rows"
+        )
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    groups = [(e, int(bounds[e]), int(bounds[e + 1])) for e in np.flatnonzero(counts)]
+    if not groups:
+        return Tensor(np.zeros((0, w2.shape[2])))
+    # Per-expert GEMMs write into row slices of shared buffers, so the
+    # elementwise activation runs once over all rows (same per-entry math).
+    pre = np.empty((x.shape[0], w1.shape[2]))
+    for e, lo, hi in groups:
+        np.matmul(x.data[lo:hi], w1.data[e], out=pre[lo:hi])
+    h, derivative = ACTIVATIONS[activation](pre)
+    out = np.empty((x.shape[0], w2.shape[2]))
+    for e, lo, hi in groups:
+        np.matmul(h[lo:hi], w2.data[e], out=out[lo:hi])
+
+    def backward(grad):
+        gx, gw1, gw2 = (np.zeros_like(t.data) for t in (x, w1, w2))
+        gh = np.empty_like(pre)
+        for e, lo, hi in groups:
+            gw2[e] += h[lo:hi].T @ grad[lo:hi]
+            np.matmul(grad[lo:hi], w2.data[e].T, out=gh[lo:hi])
+        gh *= derivative()
+        for e, lo, hi in groups:
+            gx[lo:hi] += gh[lo:hi] @ w1.data[e].T
+            gw1[e] += x.data[lo:hi].T @ gh[lo:hi]
+        return gx, gw1, gw2
+
+    return Tensor.from_op(out, (x, w1, w2), backward)
 
 
 def topk(x: np.ndarray | Tensor, k: int, axis: int = -1) -> tuple[np.ndarray, np.ndarray]:

@@ -107,14 +107,18 @@ def sequential_gemm(
     return out
 
 
+#: The activations :func:`sequential_gemm` implements, by name.
+GEMM_ACTIVATIONS = {
+    "silu": lambda x: x / (1.0 + np.exp(-x)),
+    "relu": lambda x: np.maximum(x, 0.0),
+    "identity": lambda x: x,
+}
+
+
 def _activate(x: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "silu":
-        return x / (1.0 + np.exp(-x))
-    if activation == "relu":
-        return np.maximum(x, 0.0)
-    if activation == "identity":
-        return x
-    raise ValueError(f"unknown activation {activation!r}")
+    if activation not in GEMM_ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    return GEMM_ACTIVATIONS[activation](x)
 
 
 # ----------------------------------------------------------------------

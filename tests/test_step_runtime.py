@@ -311,6 +311,18 @@ class TestStepRuntimeEquivalence:
         for a, b in zip(first.outputs, second.outputs):
             assert np.array_equal(a, b)
 
+    def test_activation_the_kernel_lacks_is_rejected_at_construction(self):
+        """``gelu`` is an ``ExpertBank`` activation but not a
+        ``sequential_gemm`` one: refuse it before any step runs."""
+        policy, _ = _policy_and_hidden(
+            "softmax-topk",
+            num_ranks=2, tokens=4, hidden=8, experts=4, top_k=2, seed=0, skew=0.0,
+        )
+        dispatcher = make_dispatcher(CommWorld(num_ranks=2).world_group(), 4, kind="flat")
+        with pytest.raises(ValueError, match="gelu"):
+            StepRuntime(policy, dispatcher, activation="gelu")
+        assert StepRuntime(policy, dispatcher, activation="identity").activation == "identity"
+
 
 # ----------------------------------------------------------------------
 # Runtime behavior: workspace, telemetry, traces, payload sizing
