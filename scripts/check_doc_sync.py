@@ -15,8 +15,11 @@ Three invariants, all enforced in CI (and by ``tests/test_doc_sync.py``):
    ``repro <name>``), so a new subcommand cannot land undocumented.
 4. **No stale identifiers** — every CamelCase identifier DESIGN.md or
    README.md puts in backticks must be defined by a ``class`` statement or
-   an assignment under ``src/`` (or be a listed external name), so deleting
-   or renaming a class fails until the docs follow.
+   an assignment under ``src/`` (or be a listed external name), and every
+   backticked ``Class.member`` reference must name a class defined under
+   ``src/`` whose body (or a base class's) defines ``member`` by a ``def``
+   or an assignment, so deleting or renaming a class or method fails until
+   the docs follow.
 
 One advisory check **warns without failing**: references to
 ``/root/related/...`` reading-list paths in the docs whose checkout is
@@ -29,6 +32,7 @@ Exits non-zero with a per-problem message when out of sync.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -134,17 +138,85 @@ def stale_identifiers(text: str, defined: set[str]) -> list[str]:
     return sorted(found - EXTERNAL_IDENTIFIERS)
 
 
+def class_members() -> dict[str, set[str]]:
+    """Members each ``class`` under ``src/`` defines, inherited ones included.
+
+    A member is a ``def`` or an (annotated) assignment in the class body, or
+    a ``self.<name> = ...`` assignment in one of its methods.  Bases are
+    resolved by name among the classes under ``src/``.
+    """
+    own: dict[str, set[str]] = {}
+    bases: dict[str, set[str]] = {}
+    for path in (REPO / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members = own.setdefault(node.name, set())
+            for base in node.bases:
+                if isinstance(base, (ast.Name, ast.Attribute)):
+                    bases.setdefault(node.name, set()).add(
+                        base.id if isinstance(base, ast.Name) else base.attr
+                    )
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    members.add(item.name)
+                    for sub in ast.walk(item):
+                        if (
+                            isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self"
+                        ):
+                            members.add(sub.attr)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    members.update(t.id for t in targets if isinstance(t, ast.Name))
+
+    def resolve(name: str, seen: frozenset = frozenset()) -> set[str]:
+        members = set(own.get(name, ()))
+        for base in bases.get(name, ()):
+            if base in own and base not in seen:
+                members |= resolve(base, seen | {name})
+        return members
+
+    return {name: resolve(name) for name in own}
+
+
+def stale_members(text: str, members: dict[str, set[str]]) -> list[str]:
+    """Backticked ``Class.member`` references in ``text`` that src/ lacks.
+
+    Only names that are a class under ``src/`` or look CamelCase count as
+    a class, so ``np.ndarray`` or ``BENCH_11.json`` are never checked.
+    """
+    found = {
+        f"{cls}.{member}"
+        for span in re.findall(r"`([^`\n]+)`", text)
+        for cls, member in re.findall(r"\b([A-Z]\w*)\.(\w+)", span)
+        if (cls in members or _CAMEL_CASE.fullmatch(cls))
+        and cls not in EXTERNAL_IDENTIFIERS
+        and member not in members.get(cls, ())
+    }
+    return sorted(found)
+
+
 def check_identifiers(errors: list[str]) -> None:
     """DESIGN.md and README.md may only backtick identifiers src/ defines."""
     defined = defined_identifiers()
+    members = class_members()
     for name in ("DESIGN.md", "README.md"):
         path = REPO / name
         if not path.exists():
             continue
-        for identifier in stale_identifiers(path.read_text(), defined):
+        text = path.read_text()
+        for identifier in stale_identifiers(text, defined):
             errors.append(
                 f"{name} mentions `{identifier}`, which no class or assignment "
                 "under src/ defines — update or drop the reference"
+            )
+        for reference in stale_members(text, members):
+            errors.append(
+                f"{name} mentions `{reference}`, which no class under src/ "
+                "defines by a def or an assignment — update or drop the reference"
             )
 
 

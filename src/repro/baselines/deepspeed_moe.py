@@ -134,12 +134,9 @@ class PaddedMoELayer:
         combine_weights = gate_out.probs[token_idx, expert_idx]
         output = ops.scatter_rows(per_assignment, token_idx, s, weights=combine_weights)
 
-        num_assignments = (
-            gate_out.decision.num_assignments if gate_out.decision is not None else s * k
-        )
         self.last_stats = PaddedDispatchStats(
             num_tokens=s,
-            num_assignments=num_assignments,
+            num_assignments=gate_out.decision.num_assignments,
             capacity=capacity,
             num_experts=e,
             hidden_size=h,
@@ -156,21 +153,13 @@ class PaddedMoELayer:
         default router, capacity-factor under switch-top-1), then capacity in
         token order (GShard semantics).
 
-        Works from the gate's :class:`RoutingDecision` when present — so any
-        router policy, including assignment-level expert-choice routing, can
-        drive the padded baseline; for the default policy the flat arrays
-        equal the legacy ``[S, k]`` flattening bit for bit.
+        Works from the gate's :class:`RoutingDecision`, so any router policy,
+        including assignment-level expert-choice routing, can drive the
+        padded baseline.
         """
-        if gate_out.decision is not None:
-            token_idx = gate_out.decision.token_ids
-            expert_idx = gate_out.decision.expert_ids
-            drop_score = gate_out.decision.dropped
-        else:
-            top_experts = gate_out.top_experts
-            s, k = top_experts.shape
-            token_idx = np.repeat(np.arange(s, dtype=np.int64), k)
-            expert_idx = top_experts.reshape(-1).astype(np.int64)
-            drop_score = gate_out.drop_eligible.reshape(-1)
+        token_idx = gate_out.decision.token_ids
+        expert_idx = gate_out.decision.expert_ids
+        drop_score = gate_out.decision.dropped
 
         keep_after_score = ~drop_score
         dropped_score = int(drop_score.sum())

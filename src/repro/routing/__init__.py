@@ -13,16 +13,17 @@ front of their experts", split into two orthogonal layers:
     routing (experts pick tokens; load balance by construction).  Policies
     are the *experimental axis*: swap one in via ``MoEModelConfig.router``,
     ``TransformerConfig.router``, `make_policy`, or the ``--router`` CLI
-    flag.  Every policy also has a
-    rank-batched path (``route_batch`` / ``decide_batch``): one stacked
-    projection + vectorized selection for a whole EP group, bit-identical
-    to per-rank ``route`` calls — the hot path of
-    :class:`repro.runtime.StepRuntime`.
+    flag.  Each policy has one selection body, ``decide_batch``, over a
+    whole EP group's stacked logits; ``route_batch`` adds one stacked
+    projection in front of it — the hot path of
+    :class:`repro.runtime.StepRuntime` — and a single rank (``route`` /
+    ``decide``) is the same body with R=1.
 
 **Planners + engine — how the decision is executed**
     (:mod:`repro.routing.plan`, :mod:`repro.routing.planner`,
     :mod:`repro.routing.engine`)
-    A decision becomes a PFT (``RoutingDecision.to_pft``), per-rank PFTs are
+    Decisions become PFTs (``RoutingDecision.to_pfts``, all ranks in one
+    pass; ``to_pft`` is its one-rank case), per-rank PFTs are
     compiled by :class:`FlatPlanner` (single uneven all-to-all; the
     correctness oracle), :class:`RBDPlanner` (two-stage
     redundancy-bypassing dispatch) or :class:`HierarchicalPlanner` (two

@@ -33,8 +33,8 @@ cheap without changing a single output bit:
      falls through);
   3. **incremental structural patch** — a small fraction of assignments
      re-routed: unchanged ranks keep their PFTs (weights re-gathered),
-     changed ranks rebuild via the per-rank ``RoutingDecision.to_pft``
-     (bit-identical to the batched builder by PR 5's property tests), and
+     changed ranks rebuild via ``RoutingDecision.to_pft`` (the batched
+     builder with one rank, so bit-identical to a cold build), and
      the plan recompiles from the patched tables through the planner's own
      compile path — bit-identity by construction, never by re-derivation;
   4. **cold build** — the exact fallback whenever the delta is large or
@@ -795,10 +795,9 @@ class PlanCache:
         Returns the patched per-rank PFT list, or ``None`` when the delta
         exceeds the threshold (the caller falls back to a cold build).
         Unchanged ranks keep their PFT structure (weights re-gathered from
-        the new scores); changed ranks rebuild through the per-rank
-        ``to_pft`` — the exact code the batched builder is property-tested
-        against — so the patched tables are bit-identical to a cold build
-        by construction.
+        the new scores); changed ranks rebuild through ``to_pft`` — the
+        batched builder a cold build runs, with one rank — so the patched
+        tables are bit-identical to a cold build by construction.
         """
         kept_idx = np.flatnonzero(~sig.dropped)
         new_keys = np.sort(sig.keys[kept_idx])

@@ -11,7 +11,7 @@ Four policies ship with the repo:
 
 * :class:`SoftmaxTopKPolicy` — the paper's softmax top-k router, factored
   out of :class:`repro.moe.gating.TopKGate`.  Bit-identical to the legacy
-  gate path (the oracle test in ``tests/test_router_policies.py`` checks
+  gate path (the oracle test in ``tests/test_routing_policies.py`` checks
   this), including the optional DeepSpeed-MoE negative-score drop rule.
 * :class:`SwitchTop1Policy` — Switch-Transformer top-1 routing with
   multiplicative exploration noise on the logits and capacity-factor token
@@ -29,16 +29,18 @@ hidden RNG state mutating across calls.
 
 Rank-batched routing
 --------------------
+Each policy has exactly one selection body, :meth:`decide_batch`, over
+stacked ``[R, S, E]`` logits; a single rank is just R=1
+(:meth:`decide` and :meth:`route` call it with one rank).
 :meth:`RouterPolicy.route_batch` routes *every rank's* batch in one call:
 one stacked ``(num_ranks * tokens, hidden)`` projection, one softmax, one
-vectorized top-k — instead of ``num_ranks`` separate :meth:`route` calls.
-Each policy's :meth:`decide_batch` vectorizes its selection across the rank
-axis while drawing exploration noise from the *same* fresh ``(seed, step)``
-stream a per-rank :meth:`route` call would use, so the per-rank decisions
-are **bit-identical** to the sequential loop (property-tested in
-``tests/test_step_runtime.py``).  :meth:`RoutingDecision.to_pfts` is the
-matching batched PFT compiler: all ranks' PFTs from the stacked assignment
-arrays in one argsort/bincount pass.  The
+vectorized top-k.  Exploration noise is drawn once per ``(seed, step)`` and
+broadcast across ranks, so each rank's decision is **bit-identical** to
+routing it alone (property-tested in ``tests/test_step_runtime.py``
+against the per-rank oracles in ``tests/helpers.py``).
+:meth:`RoutingDecision.to_pfts` is the one PFT compiler: all ranks' PFTs
+from the stacked assignment arrays in one argsort/bincount pass, and
+:meth:`RoutingDecision.to_pft` is its R=1 case.  The
 :class:`~repro.runtime.StepRuntime` drives both.
 
 Dropped tokens and bit-exact combine
@@ -61,22 +63,14 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from repro.routing.telemetry import load_balance_entropy
-from repro.tensor.ops import topk as _topk
 
 
-def _softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable softmax, bit-identical to ``repro.tensor.ops.softmax``.
-
-    ``out`` optionally receives the result (the batched path streams blocks
-    into a preallocated stacked array); the values are identical either way.
-    """
+def _softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax into ``out``, bit-identical to
+    ``repro.tensor.ops.softmax``."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     np.exp(shifted, out=shifted)
-    denom = shifted.sum(axis=-1, keepdims=True)
-    if out is None:
-        shifted /= denom
-        return shifted
-    np.divide(shifted, denom, out=out)
+    np.divide(shifted, shifted.sum(axis=-1, keepdims=True), out=out)
     return out
 
 
@@ -130,15 +124,19 @@ def _stacked_softmax_topk(
         block = _softmax(flat_logits[b0:b1], out=probs[b0:b1])
         # Inlined ``repro.tensor.ops.topk`` (same ops on the same values,
         # so the selection is bit-identical), with the negation running in
-        # a reused scratch buffer instead of a fresh temporary per block.
+        # a reused scratch buffer instead of a fresh temporary per block,
+        # and plain row-indexed gathers in place of ``take_along_axis``
+        # (same elements, a fraction of the per-call overhead that
+        # dominates one-rank calls).
         if scratch is None or scratch.shape != block.shape:
             scratch = np.empty_like(block)
         np.negative(block, out=scratch)
+        rows = np.arange(b1 - b0)[:, None]
         idx = np.argpartition(scratch, kth=k - 1, axis=-1)[:, :k]
-        part = np.take_along_axis(block, idx, axis=-1)
+        part = block[rows, idx]
         order = np.argsort(-part, axis=-1, kind="stable")
-        top_experts[b0:b1] = np.take_along_axis(idx, order, axis=-1)
-        top_scores[b0:b1] = np.take_along_axis(part, order, axis=-1)
+        top_experts[b0:b1] = idx[rows, order]
+        top_scores[b0:b1] = part[rows, order]
     return probs, top_scores, top_experts
 
 
@@ -163,20 +161,12 @@ def _segmented_capacity_drop(
     return drop
 
 
-def _z_loss(logits: np.ndarray) -> float:
-    """Router z-loss: mean squared log-partition (keeps logits small)."""
-    if logits.size == 0:
-        return 0.0
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.max(axis=-1)
-    return float(np.mean(lse**2))
-
-
 def _batched_z_loss(logits: np.ndarray) -> np.ndarray:
     """Per-rank z-loss over stacked ``[R, S, E]`` logits, one vector pass.
 
-    Row-local like everything else on the batched path: each rank's entry
-    equals ``_z_loss(logits[r])`` bit for bit.
+    The router z-loss (mean squared log-partition, which keeps logits
+    small) of each rank, computed row-locally like everything else on the
+    batched path.
     """
     r = logits.shape[0]
     if logits.size == 0:
@@ -193,8 +183,8 @@ def _batched_aux_loss(
 
     ``probs`` is ``[R, S, E]`` and ``expert_ids`` any ``[R, ...]`` integer
     selection; the per-expert counts of all ranks come from a single
-    bincount over composite ``rank * E + expert`` keys.  Each entry equals
-    ``_PolicyBase._aux_loss(probs[r], expert_ids[r])`` bit for bit.
+    bincount over composite ``rank * E + expert`` keys.  Same formula as
+    ``TopKGate``'s differentiable balance loss.
     """
     r, s, e = probs.shape
     offsets = np.arange(r, dtype=np.int64) * e
@@ -247,41 +237,6 @@ class RoutingDecision:
     drop_mask: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_topk(
-        cls,
-        top_experts: np.ndarray,
-        top_scores: np.ndarray,
-        drop_mask: np.ndarray,
-        *,
-        num_experts: int,
-        probs: np.ndarray,
-        aux_loss: float,
-        z_loss: float,
-    ) -> "RoutingDecision":
-        """Flatten a rectangular ``[S, k]`` selection, row-major.
-
-        The flattening order matches ``repro.xmoe.pft._flatten_assignments``
-        exactly, which is what keeps the default policy's PFTs bit-identical
-        to the legacy ``build_pft`` path.
-        """
-        s, k = top_experts.shape
-        return cls(
-            num_tokens=s,
-            num_experts=num_experts,
-            token_ids=np.repeat(np.arange(s, dtype=np.int64), k),
-            expert_ids=top_experts.reshape(-1).astype(np.int64),
-            scores=top_scores.reshape(-1).astype(np.float64),
-            dropped=drop_mask.reshape(-1).astype(bool),
-            probs=probs,
-            aux_loss=aux_loss,
-            z_loss=z_loss,
-            top_experts=top_experts,
-            top_scores=top_scores,
-            drop_mask=drop_mask,
-        )
-
-    # ------------------------------------------------------------------
     @property
     def num_assignments(self) -> int:
         """Total (token, expert) assignments, dropped ones included."""
@@ -318,19 +273,9 @@ class RoutingDecision:
         dropped token's combine output row stays exactly zero on both the
         flat and the RBD path.  ``max_token_count`` additionally applies the
         standard capacity-only rule of PFT construction (pass ``None`` for
-        no capacity cap).
+        no capacity cap).  One rank is :meth:`to_pfts` with R=1.
         """
-        from repro.xmoe.pft import build_pft_flat
-
-        keep = ~self.dropped
-        return build_pft_flat(
-            max_token_count if max_token_count is not None else 2**62,
-            self.token_ids[keep],
-            self.expert_ids[keep],
-            self.scores[keep],
-            self.num_experts,
-            self.num_tokens,
-        )
+        return RoutingDecision.to_pfts([self], max_token_count)[0]
 
     @staticmethod
     def to_pfts(
@@ -338,13 +283,11 @@ class RoutingDecision:
     ) -> list:
         """Compile every rank's decision into PFTs in one batched pass.
 
-        The rank-batched counterpart of :meth:`to_pft`: the surviving
-        (policy-kept) assignments of all ranks are stacked — tagged with
-        their rank id — and handed to
+        The surviving (policy-kept) assignments of all ranks are stacked —
+        tagged with their rank id — and handed to
         :func:`repro.xmoe.pft.build_pft_flat_batched`, which applies the
         capacity rule and the canonical (expert, token) ordering for every
-        rank in one argsort/bincount pass.  Output is bit-identical to
-        calling :meth:`to_pft` rank by rank.
+        rank in one argsort/bincount pass.
         """
         from repro.xmoe.pft import build_pft_flat_batched
 
@@ -408,19 +351,8 @@ class RouterPolicy(Protocol):
         """Route ``[S, H]`` hidden states (uses the policy's own weight)."""
         ...
 
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Route from precomputed ``[S, E]`` logits (gate-driven path).
-
-        ``probs`` optionally passes the caller's already-computed softmax of
-        ``logits`` so noise-free policies skip recomputing it; noisy
-        policies ignore it (their softmax runs over perturbed logits).
-        """
+    def decide(self, logits: np.ndarray, step: int | None = None) -> RoutingDecision:
+        """Route from precomputed ``[S, E]`` logits (gate-driven path)."""
         ...
 
     def route_batch(
@@ -487,15 +419,13 @@ class _PolicyBase:
             raise ValueError(f"expected [S, {self.hidden_size}] hidden, got {hidden.shape}")
         return self.decide(hidden @ self.weight, step=step)
 
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Route from precomputed logits (implemented per policy)."""
-        raise NotImplementedError
+    def decide(self, logits: np.ndarray, step: int | None = None) -> RoutingDecision:
+        """Route from precomputed ``[S, E]`` logits: :meth:`decide_batch`
+        with R=1."""
+        logits = np.asarray(logits, dtype=np.float64)
+        if logits.ndim != 2:
+            raise ValueError(f"expected [S, E] logits, got {logits.shape}")
+        return self.decide_batch(logits[None], step=step)[0]
 
     # -- rank-batched path ---------------------------------------------
     def route_batch(
@@ -512,13 +442,13 @@ class _PolicyBase:
         ``(num_ranks * S, hidden)`` block and projected with a single
         matmul, then :meth:`decide_batch` runs the policy's selection
         vectorized across the rank axis.  Output is bit-identical to
-        calling :meth:`route` once per rank.
+        calling :meth:`route` once per rank (each an R=1 batch).
 
         ``workspace`` optionally supplies reusable stacked buffers (any
         object with ``stacked_hidden(rows, cols)`` / ``stacked_logits(rows,
         cols)`` — see :class:`repro.runtime.StepWorkspace`); without it the
         stacked arrays are freshly allocated.  Ranks with unequal token
-        counts fall back to the sequential per-rank loop (the stacked
+        counts fall back to one :meth:`route` per rank (the stacked
         kernels need a rectangular block).
         """
         if self.weight is None:
@@ -557,20 +487,6 @@ class _PolicyBase:
         )
         return self.decide_batch(logits, step=step)
 
-    def decide_batch(
-        self, logits: np.ndarray, step: int | None = None
-    ) -> list[RoutingDecision]:
-        """Route from stacked ``[R, S, E]`` logits, one decision per rank.
-
-        The base implementation is the sequential fallback (one
-        :meth:`decide` per rank); the shipped policies override it with a
-        vectorized selection whose output is bit-identical.
-        """
-        logits = np.asarray(logits, dtype=np.float64)
-        if logits.ndim != 3:
-            raise ValueError(f"expected [R, S, E] logits, got {logits.shape}")
-        return [self.decide(logits[r], step=step) for r in range(logits.shape[0])]
-
     def _from_topk_batch(
         self,
         probs: np.ndarray,
@@ -583,11 +499,12 @@ class _PolicyBase:
     ) -> list[RoutingDecision]:
         """Per-rank decisions from stacked ``[R*S, k]`` top-k arrays.
 
-        The batched counterpart of :meth:`RoutingDecision.from_topk`: one
-        dtype conversion, one composite-key bincount (aux losses), and one
-        vectorized z-loss cover every rank, so assembling R decisions costs
-        R dataclass constructions — not R rounds of numpy small-ops.  The
-        per-rank arrays are views into the stacked ones.
+        Each rank's ``[S, k]`` selection is flattened row-major into
+        token-major assignment arrays.  One dtype conversion, one
+        composite-key bincount (aux losses), and one vectorized z-loss cover
+        every rank, so assembling R decisions costs R dataclass
+        constructions — not R rounds of numpy small-ops.  The per-rank
+        arrays are views into the stacked ones.
         """
         e, k = self.num_experts, top_experts.shape[-1]
         probs3 = probs.reshape(r, s, e)
@@ -622,22 +539,6 @@ class _PolicyBase:
             for i in range(r)
         ]
 
-    def _scaled_z_loss(self, logits: np.ndarray) -> float:
-        """``z_loss_coef * z_loss``, skipping the logsumexp when coef is 0."""
-        if not self.z_loss_coef:
-            return 0.0
-        return self.z_loss_coef * _z_loss(logits)
-
-    # -- shared loss terms ---------------------------------------------
-    def _aux_loss(self, probs: np.ndarray, expert_ids: np.ndarray) -> float:
-        """Switch-Transformer balance loss (same formula as ``TopKGate``)."""
-        counts = np.bincount(
-            expert_ids.reshape(-1), minlength=self.num_experts
-        ).astype(np.float64)
-        fraction = counts / max(1, expert_ids.size)
-        mean_probs = probs.sum(axis=0) / max(1, probs.shape[0])
-        return float((mean_probs * fraction).sum() * (self.aux_loss_coef * self.num_experts))
-
 
 class SoftmaxTopKPolicy(_PolicyBase):
     """The paper's router: softmax over logits, top-k selection.
@@ -666,33 +567,6 @@ class SoftmaxTopKPolicy(_PolicyBase):
         self.top_k = top_k
         self.score_threshold = score_threshold
         self.drops_early = bool(score_threshold)
-
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Softmax the logits and keep each token's top-k experts."""
-        logits = np.asarray(logits, dtype=np.float64)
-        if probs is None:
-            probs = _softmax(logits)
-        top_scores, top_experts = _topk(probs, self.top_k, axis=-1)
-        if self.score_threshold:
-            raw = np.take_along_axis(logits, top_experts, axis=-1)
-            drop_mask = raw < 0.0
-        else:
-            drop_mask = np.zeros_like(top_experts, dtype=bool)
-        return RoutingDecision.from_topk(
-            top_experts,
-            top_scores,
-            drop_mask,
-            num_experts=self.num_experts,
-            probs=probs,
-            aux_loss=self._aux_loss(probs, top_experts),
-            z_loss=self._scaled_z_loss(logits),
-        )
 
     def decide_batch(
         self, logits: np.ndarray, step: int | None = None
@@ -743,53 +617,16 @@ class SwitchTop1Policy(_PolicyBase):
         self.capacity_factor = capacity_factor
         self.eps = eps
 
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Pick each token's top-1 expert under noise, dropping overflow.
-
-        ``probs`` (the clean softmax) is unused: selection and combine
-        scores come from the softmax of the *noisy* logits.
-        """
-        logits = np.asarray(logits, dtype=np.float64)
-        s = logits.shape[0]
-        noise = 1.0 - self.eps + self._rng(step).random(logits.shape) * (2.0 * self.eps)
-        noisy = logits * noise
-        probs = _softmax(noisy)
-        top_scores, top_experts = _topk(probs, 1, axis=-1)
-
-        # Capacity-factor dropping, decided here: rank each expert's tokens
-        # by score (the same rule PFT construction applies) and drop the
-        # overflow beyond ceil(c * S / E).
-        capacity = max(1, math.ceil(self.capacity_factor * s / self.num_experts))
-        drop_mask = _segmented_capacity_drop(
-            top_experts.reshape(-1), top_scores.reshape(-1), capacity, self.num_experts
-        )
-
-        return RoutingDecision.from_topk(
-            top_experts,
-            top_scores,
-            drop_mask.reshape(top_experts.shape),
-            num_experts=self.num_experts,
-            probs=probs,
-            aux_loss=self._aux_loss(probs, top_experts),
-            z_loss=self._scaled_z_loss(noisy),
-        )
-
     def decide_batch(
         self, logits: np.ndarray, step: int | None = None
     ) -> list[RoutingDecision]:
         """Stacked noisy top-1 with per-(rank, expert) capacity dropping.
 
-        The exploration noise is drawn once from the fresh ``(seed, step)``
-        generator a per-rank :meth:`decide` call would create and broadcast
-        across ranks — exactly the values every rank sees in the sequential
-        loop.  Capacity dropping runs over composite ``rank * E + expert``
-        segments so one lexsort/bincount pass covers every rank.
+        The ``[S, E]`` exploration noise is drawn once from the fresh
+        ``(seed, step)`` generator and broadcast across ranks, so every rank
+        sees the values it would see routed alone (R=1).  Capacity dropping
+        runs over composite ``rank * E + expert`` segments so one
+        lexsort/bincount pass covers every rank.
         """
         logits = np.asarray(logits, dtype=np.float64)
         if logits.ndim != 3:
@@ -841,39 +678,14 @@ class NoisyTopKPolicy(_PolicyBase):
         self.top_k = top_k
         self.noise_std = noise_std
 
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Top-k selection over additively perturbed logits.
-
-        ``probs`` (the clean softmax) is unused: selection runs over the
-        perturbed logits.
-        """
-        logits = np.asarray(logits, dtype=np.float64)
-        noisy = logits + self._rng(step).normal(0.0, self.noise_std, size=logits.shape)
-        probs = _softmax(noisy)
-        top_scores, top_experts = _topk(probs, self.top_k, axis=-1)
-        return RoutingDecision.from_topk(
-            top_experts,
-            top_scores,
-            np.zeros_like(top_experts, dtype=bool),
-            num_experts=self.num_experts,
-            probs=probs,
-            aux_loss=self._aux_loss(probs, top_experts),
-            z_loss=self._scaled_z_loss(noisy),
-        )
-
     def decide_batch(
         self, logits: np.ndarray, step: int | None = None
     ) -> list[RoutingDecision]:
         """Stacked noisy top-k: one perturbation draw, one top-k, all ranks.
 
-        As in the sequential loop, every rank's additive noise comes from a
-        fresh ``(seed, step)`` generator — drawn once here and broadcast.
+        The ``[S, E]`` additive noise comes from a fresh ``(seed, step)``
+        generator — drawn once and broadcast, so every rank sees the values
+        it would see routed alone (R=1).
         """
         logits = np.asarray(logits, dtype=np.float64)
         if logits.ndim != 3:
@@ -916,45 +728,6 @@ class ExpertChoicePolicy(_PolicyBase):
             raise ValueError(f"top_k={top_k} must be >= 1")
         self.top_k = top_k
 
-    def decide(
-        self,
-        logits: np.ndarray,
-        step: int | None = None,
-        *,
-        probs: np.ndarray | None = None,
-    ) -> RoutingDecision:
-        """Let each expert take its top-``capacity`` tokens by probability."""
-        logits = np.asarray(logits, dtype=np.float64)
-        s, e = logits.shape
-        if probs is None:
-            probs = _softmax(logits)
-
-        budget = s * self.top_k
-        caps = np.full(e, budget // e, dtype=np.int64)
-        caps[: budget % e] += 1
-        np.minimum(caps, s, out=caps)
-
-        # Each expert's token ranking (ties broken by token id: stable sort).
-        order = np.argsort(-probs, axis=0, kind="stable")  # [S, E]
-        max_cap = int(caps.max()) if caps.size else 0
-        picked = order[:max_cap, :].T  # [E, max_cap], expert-major
-        mask = np.arange(max_cap)[None, :] < caps[:, None]
-        token_ids = picked[mask].astype(np.int64)
-        expert_ids = np.repeat(np.arange(e, dtype=np.int64), caps)
-        scores = probs[token_ids, expert_ids]
-
-        return RoutingDecision(
-            num_tokens=s,
-            num_experts=e,
-            token_ids=token_ids,
-            expert_ids=expert_ids,
-            scores=scores,
-            dropped=np.zeros(token_ids.size, dtype=bool),
-            probs=probs,
-            aux_loss=0.0,  # balance holds by construction
-            z_loss=self._scaled_z_loss(logits),
-        )
-
     def decide_batch(
         self, logits: np.ndarray, step: int | None = None
     ) -> list[RoutingDecision]:
@@ -962,7 +735,7 @@ class ExpertChoicePolicy(_PolicyBase):
 
         The per-expert token ranking runs as a single stable argsort along
         the stacked token axis, so each (rank, expert) column sorts exactly
-        as in the sequential loop; capacities depend only on the (shared)
+        as it would routed alone; capacities depend only on the (shared)
         token count, so the same mask selects every rank's assignments.
         """
         logits = np.asarray(logits, dtype=np.float64)

@@ -16,9 +16,10 @@ shared driver that executes the whole pipeline **for all ranks at once**:
 * the plan build, dispatch, expert execution, and combine stages drive the
   :class:`~repro.routing.engine.Dispatcher` protocol exactly as before.
 
-Both batched stages are bit-identical to the sequential per-rank loop
-(property-tested in ``tests/test_step_runtime.py``), so swapping a driver
-onto the runtime changes its wall-clock, never its outputs.
+``route``/``to_pft`` are these same stages with one rank, and both are
+property-tested against per-rank reference implementations
+(``tests/test_step_runtime.py``), so moving a workload onto the runtime
+changes its wall-clock, never its outputs.
 
 :class:`StepWorkspace` owns the reusable stacked buffers (hidden block,
 router logits, and named scratch arenas) so steady-state steps stop
@@ -316,7 +317,7 @@ class StepRuntime:
     def run_step(
         self, per_rank_hidden: list[np.ndarray], *, step: int | None = None
     ) -> StepResult:
-        """Execute route → to_pft → plan → dispatch → experts → combine.
+        """Execute route_batch → to_pfts → plan → dispatch → experts → combine.
 
         ``per_rank_hidden`` holds one ``[S, H]`` batch per EP-group rank.
         Returns the per-rank combined outputs along with every intermediate

@@ -26,7 +26,6 @@ Sub-modules:
 from repro.xmoe.pft import (
     PFT,
     build_pft,
-    build_pft_flat,
     build_pft_flat_batched,
     build_pft_reference,
 )
@@ -62,7 +61,6 @@ from repro.xmoe.trainer import (
 __all__ = [
     "PFT",
     "build_pft",
-    "build_pft_flat",
     "build_pft_flat_batched",
     "build_pft_reference",
     "gather_kernel",

@@ -19,11 +19,15 @@ ranked by their gate score and only the top ``max_token_count`` survive —
 unlike DeepSpeed-MoE, no assignment is dropped merely for having a negative
 raw score (§5.6).
 
-Two implementations are provided: :func:`build_pft_reference`, a direct
-translation of Listing 1, and :func:`build_pft`, the optimized version using
-the transposed one-hot + outer-axis cumsum described in Appendix B.2 (the
-paper reports a 10x speedup of gating + construction from this data-layout
-change).  Both produce identical PFTs and the test suite checks that.
+One builder does the work: :func:`build_pft_flat_batched` constructs every
+rank's PFT from stacked assignment arrays in one sort pass, replacing the
+one-hot cumsum with sorts along a contiguous axis in the spirit of Appendix
+B.2's transposed one-hot + outer-axis cumsum (the paper reports a 10x
+speedup of gating + construction from that data-layout change).  A single
+rank is R=1: :func:`build_pft` (rectangular ``[S, k]`` input) and
+:meth:`repro.routing.policies.RoutingDecision.to_pft` both call it with one
+rank.  :func:`build_pft_reference`, a direct translation of Listing 1, is
+the oracle the test suite checks the builder against.
 """
 
 from __future__ import annotations
@@ -76,9 +80,10 @@ class PFT:
 
         Used by :func:`build_pft_flat_batched`, whose output ordering and
         counts hold by construction (and are property-tested against the
-        checked path); the ``__post_init__`` validation would re-scan every
-        array per rank, which is exactly the per-rank overhead the batched
-        builder exists to remove.
+        Listing 1 oracle and a per-rank reference builder); the
+        ``__post_init__`` validation would re-scan every array per rank,
+        which is exactly the per-rank overhead the batched builder exists to
+        remove.
         """
         pft = cls.__new__(cls)
         pft.token_ids = token_ids
@@ -181,62 +186,25 @@ def build_pft(
     combine_weights: np.ndarray,
     num_experts: int,
 ) -> PFT:
-    """Optimized PFT construction (Appendix B.2).
+    """Optimized PFT construction (Appendix B.2) from an ``[S, k]`` selection.
 
     Instead of materializing the ``[S*k, E]`` one-hot matrix and running a
     cumulative sum down its (strided) inner dimension, the rank of each
-    assignment within its expert is computed with a single stable sort keyed
-    on (expert, -weight) followed by a segmented ``arange`` — the same
-    contiguous-axis trick the paper's transposed cumsum achieves.
+    assignment within its expert comes from a sort keyed on
+    (expert, -weight) followed by a segmented ``arange`` — the same
+    contiguous-axis trick the paper's transposed cumsum achieves.  This is
+    :func:`build_pft_flat_batched` with one rank.
     """
     token_ids, expert_ids, weights = _flatten_assignments(top_experts, combine_weights)
-    return build_pft_flat(
-        max_token_count, token_ids, expert_ids, weights, num_experts, top_experts.shape[0]
-    )
-
-
-def build_pft_flat(
-    max_token_count: int,
-    token_ids: np.ndarray,
-    expert_ids: np.ndarray,
-    combine_weights: np.ndarray,
-    num_experts: int,
-    num_source_tokens: int,
-) -> PFT:
-    """PFT construction from per-assignment flat arrays.
-
-    The assignment-level entry point behind :func:`build_pft`, used directly
-    by router policies whose selection is not rectangular (expert-choice
-    routing assigns a variable number of experts per token — see
-    :meth:`repro.routing.policies.RoutingDecision.to_pft`).  Same capacity
-    rule, same ordering, bit-identical output for flattened ``[S, k]``
-    input.
-    """
-    if max_token_count <= 0:
-        raise ValueError("max_token_count must be positive")
-    token_ids = np.asarray(token_ids, dtype=np.int64)
-    expert_ids = np.asarray(expert_ids, dtype=np.int64)
-    weights = np.asarray(combine_weights, dtype=np.float64)
-    if not (token_ids.shape == expert_ids.shape == weights.shape) or token_ids.ndim != 1:
-        raise ValueError("assignment arrays must be 1-D and of equal length")
-    s = num_source_tokens
-
-    if expert_ids.size == 0:
-        keep = np.zeros(0, dtype=bool)
-        return _assemble_pft(token_ids, expert_ids, weights, keep, num_experts, s)
-
-    # Sort by expert id, breaking ties by descending weight: within each
-    # expert segment, position index == rank by score.
-    order = np.lexsort((-weights, expert_ids))
-    sorted_experts = expert_ids[order]
-    counts = np.bincount(sorted_experts, minlength=num_experts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    rank_in_expert = np.arange(sorted_experts.size) - starts[sorted_experts]
-    keep_sorted = rank_in_expert < max_token_count
-    keep = np.zeros(expert_ids.size, dtype=bool)
-    keep[order] = keep_sorted
-
-    return _assemble_pft(token_ids, expert_ids, weights, keep, num_experts, s)
+    return build_pft_flat_batched(
+        max_token_count,
+        np.zeros(token_ids.size, dtype=np.int64),
+        token_ids,
+        expert_ids,
+        weights,
+        num_experts,
+        [top_experts.shape[0]],
+    )[0]
 
 
 def build_pft_flat_batched(
@@ -250,18 +218,18 @@ def build_pft_flat_batched(
 ) -> list[PFT]:
     """All ranks' PFTs from stacked assignment arrays, in one sort pass.
 
-    The rank-batched counterpart of :func:`build_pft_flat`: every rank's
-    assignments arrive concatenated, tagged with their group-local rank in
-    ``rank_ids``, and both the capacity rule and the canonical
-    (expert, token) ordering run **once** over composite
-    ``rank * num_experts + expert`` segments instead of once per rank.
-    Because the rank is the most significant sort key and every sort is
-    stable, each rank's segment orders exactly as a per-rank
-    :func:`build_pft_flat` call would — the returned PFTs are
-    bit-identical to the sequential loop (property-tested in
-    ``tests/test_step_runtime.py``).  ``num_source_tokens`` gives each
-    rank's source token count (its length fixes the number of ranks, so
-    trailing ranks with zero assignments still get an empty PFT).
+    Every rank's assignments arrive concatenated, tagged with their
+    group-local rank in ``rank_ids``, and both the capacity rule (within
+    each expert, the ``max_token_count`` highest weights survive, ties
+    broken by position) and the canonical (expert, token) ordering run
+    **once** over composite ``rank * num_experts + expert`` segments
+    instead of once per rank.  Because the rank is the most significant
+    sort key and every sort is stable, each rank's segment orders exactly
+    as building that rank alone would — the returned PFTs are bit-identical
+    to a per-rank loop (property-tested in ``tests/test_step_runtime.py``).
+    ``num_source_tokens`` gives each rank's source token count (its length
+    fixes the number of ranks, so trailing ranks with zero assignments
+    still get an empty PFT).
     """
     if max_token_count <= 0:
         raise ValueError("max_token_count must be positive")
@@ -369,8 +337,8 @@ def _assemble_pft(
     expert_ids = expert_ids[keep]
     weights = weights[keep]
 
-    # Final ordering: by expert id, ties broken by original token position,
-    # so both construction paths produce bit-identical PFTs.
+    # Final ordering: by expert id, ties broken by original token position —
+    # the canonical order build_pft_flat_batched produces.
     order = np.lexsort((token_ids, expert_ids))
     token_ids = token_ids[order]
     expert_ids = expert_ids[order]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 
 def inter_node_bytes(stats, op_names) -> float:
     """Bytes the named ops moved over inter-node (or cross-rack) links."""
@@ -13,3 +17,246 @@ def inter_node_bytes(stats, op_names) -> float:
             total += event.bytes_by_tier.get(LinkTier.INTER_NODE, 0.0)
             total += event.bytes_by_tier.get(LinkTier.CROSS_RACK, 0.0)
     return total
+
+
+# ----------------------------------------------------------------------
+# Per-rank oracles for the rank-batched routing path
+# ----------------------------------------------------------------------
+# The library routes and builds PFTs only through the rank-batched kernels
+# (a single rank is R=1).  The functions below are the straightforward
+# one-rank-at-a-time selection bodies and PFT builder those kernels must
+# agree with bit for bit; the equivalence tests drive them rank by rank.
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(shifted, out=shifted)
+    shifted /= shifted.sum(axis=-1, keepdims=True)
+    return shifted
+
+
+def _z_loss(logits: np.ndarray) -> float:
+    """Router z-loss: mean squared log-partition (keeps logits small)."""
+    if logits.size == 0:
+        return 0.0
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1)) + logits.max(axis=-1)
+    return float(np.mean(lse**2))
+
+
+def _scaled_z_loss(policy, logits: np.ndarray) -> float:
+    if not policy.z_loss_coef:
+        return 0.0
+    return policy.z_loss_coef * _z_loss(logits)
+
+
+def _aux_loss(policy, probs: np.ndarray, expert_ids: np.ndarray) -> float:
+    """Switch-Transformer balance loss (same formula as ``TopKGate``)."""
+    counts = np.bincount(
+        expert_ids.reshape(-1), minlength=policy.num_experts
+    ).astype(np.float64)
+    fraction = counts / max(1, expert_ids.size)
+    mean_probs = probs.sum(axis=0) / max(1, probs.shape[0])
+    return float((mean_probs * fraction).sum() * (policy.aux_loss_coef * policy.num_experts))
+
+
+def _segmented_capacity_drop(segment_key, scores, capacity, num_segments):
+    order = np.lexsort((-scores, segment_key))
+    sorted_key = segment_key[order]
+    counts = np.bincount(sorted_key, minlength=num_segments)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    rank_in_segment = np.arange(sorted_key.size) - starts[sorted_key]
+    drop = np.zeros(segment_key.size, dtype=bool)
+    drop[order] = rank_in_segment >= capacity
+    return drop
+
+
+def _from_topk(top_experts, top_scores, drop_mask, *, num_experts, probs, aux_loss, z_loss):
+    """Flatten a rectangular ``[S, k]`` selection, row-major."""
+    from repro.routing.policies import RoutingDecision
+
+    s, k = top_experts.shape
+    return RoutingDecision(
+        num_tokens=s,
+        num_experts=num_experts,
+        token_ids=np.repeat(np.arange(s, dtype=np.int64), k),
+        expert_ids=top_experts.reshape(-1).astype(np.int64),
+        scores=top_scores.reshape(-1).astype(np.float64),
+        dropped=drop_mask.reshape(-1).astype(bool),
+        probs=probs,
+        aux_loss=aux_loss,
+        z_loss=z_loss,
+        top_experts=top_experts,
+        top_scores=top_scores,
+        drop_mask=drop_mask,
+    )
+
+
+def _decide_softmax_topk(policy, logits, step):
+    from repro.tensor.ops import topk as _topk
+
+    probs = _softmax(logits)
+    top_scores, top_experts = _topk(probs, policy.top_k, axis=-1)
+    if policy.score_threshold:
+        raw = np.take_along_axis(logits, top_experts, axis=-1)
+        drop_mask = raw < 0.0
+    else:
+        drop_mask = np.zeros_like(top_experts, dtype=bool)
+    return _from_topk(
+        top_experts,
+        top_scores,
+        drop_mask,
+        num_experts=policy.num_experts,
+        probs=probs,
+        aux_loss=_aux_loss(policy, probs, top_experts),
+        z_loss=_scaled_z_loss(policy, logits),
+    )
+
+
+def _decide_switch_top1(policy, logits, step):
+    from repro.tensor.ops import topk as _topk
+
+    s = logits.shape[0]
+    noise = 1.0 - policy.eps + policy._rng(step).random(logits.shape) * (2.0 * policy.eps)
+    noisy = logits * noise
+    probs = _softmax(noisy)
+    top_scores, top_experts = _topk(probs, 1, axis=-1)
+
+    capacity = max(1, math.ceil(policy.capacity_factor * s / policy.num_experts))
+    drop_mask = _segmented_capacity_drop(
+        top_experts.reshape(-1), top_scores.reshape(-1), capacity, policy.num_experts
+    )
+
+    return _from_topk(
+        top_experts,
+        top_scores,
+        drop_mask.reshape(top_experts.shape),
+        num_experts=policy.num_experts,
+        probs=probs,
+        aux_loss=_aux_loss(policy, probs, top_experts),
+        z_loss=_scaled_z_loss(policy, noisy),
+    )
+
+
+def _decide_noisy_topk(policy, logits, step):
+    from repro.tensor.ops import topk as _topk
+
+    noisy = logits + policy._rng(step).normal(0.0, policy.noise_std, size=logits.shape)
+    probs = _softmax(noisy)
+    top_scores, top_experts = _topk(probs, policy.top_k, axis=-1)
+    return _from_topk(
+        top_experts,
+        top_scores,
+        np.zeros_like(top_experts, dtype=bool),
+        num_experts=policy.num_experts,
+        probs=probs,
+        aux_loss=_aux_loss(policy, probs, top_experts),
+        z_loss=_scaled_z_loss(policy, noisy),
+    )
+
+
+def _decide_expert_choice(policy, logits, step):
+    from repro.routing.policies import RoutingDecision
+
+    s, e = logits.shape
+    probs = _softmax(logits)
+
+    budget = s * policy.top_k
+    caps = np.full(e, budget // e, dtype=np.int64)
+    caps[: budget % e] += 1
+    np.minimum(caps, s, out=caps)
+
+    # Each expert's token ranking (ties broken by token id: stable sort).
+    order = np.argsort(-probs, axis=0, kind="stable")  # [S, E]
+    max_cap = int(caps.max()) if caps.size else 0
+    picked = order[:max_cap, :].T  # [E, max_cap], expert-major
+    mask = np.arange(max_cap)[None, :] < caps[:, None]
+    token_ids = picked[mask].astype(np.int64)
+    expert_ids = np.repeat(np.arange(e, dtype=np.int64), caps)
+    scores = probs[token_ids, expert_ids]
+
+    return RoutingDecision(
+        num_tokens=s,
+        num_experts=e,
+        token_ids=token_ids,
+        expert_ids=expert_ids,
+        scores=scores,
+        dropped=np.zeros(token_ids.size, dtype=bool),
+        probs=probs,
+        aux_loss=0.0,
+        z_loss=_scaled_z_loss(policy, logits),
+    )
+
+
+_REFERENCE_DECIDERS = {
+    "softmax-topk": _decide_softmax_topk,
+    "switch-top1": _decide_switch_top1,
+    "noisy-topk": _decide_noisy_topk,
+    "expert-choice": _decide_expert_choice,
+}
+
+
+def reference_decide(policy, logits, step=None):
+    """One rank's :class:`RoutingDecision` from ``[S, E]`` logits, per rank.
+
+    The sequential selection body of each shipped policy, dispatched on
+    ``policy.name``; ``policy.decide_batch`` must match it rank by rank.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    return _REFERENCE_DECIDERS[policy.name](policy, logits, step)
+
+
+def reference_pft_flat(
+    max_token_count, token_ids, expert_ids, combine_weights, num_experts, num_source_tokens
+):
+    """One rank's PFT from flat assignment arrays (capacity, then sort).
+
+    Same capacity rule and ordering as ``build_pft_flat_batched`` for a
+    single rank, computed with a plain lexsort per rank.
+    """
+    from repro.xmoe.pft import _assemble_pft
+
+    if max_token_count <= 0:
+        raise ValueError("max_token_count must be positive")
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    expert_ids = np.asarray(expert_ids, dtype=np.int64)
+    weights = np.asarray(combine_weights, dtype=np.float64)
+    if not (token_ids.shape == expert_ids.shape == weights.shape) or token_ids.ndim != 1:
+        raise ValueError("assignment arrays must be 1-D and of equal length")
+    s = num_source_tokens
+
+    if expert_ids.size == 0:
+        keep = np.zeros(0, dtype=bool)
+        return _assemble_pft(token_ids, expert_ids, weights, keep, num_experts, s)
+
+    # Sort by expert id, breaking ties by descending weight: within each
+    # expert segment, position index == rank by score.
+    order = np.lexsort((-weights, expert_ids))
+    sorted_experts = expert_ids[order]
+    counts = np.bincount(sorted_experts, minlength=num_experts)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    rank_in_expert = np.arange(sorted_experts.size) - starts[sorted_experts]
+    keep_sorted = rank_in_expert < max_token_count
+    keep = np.zeros(expert_ids.size, dtype=bool)
+    keep[order] = keep_sorted
+
+    return _assemble_pft(token_ids, expert_ids, weights, keep, num_experts, s)
+
+
+def reference_to_pft(decision, max_token_count=None):
+    """One rank's decision compiled to a PFT by :func:`reference_pft_flat`."""
+    keep = ~decision.dropped
+    return reference_pft_flat(
+        max_token_count if max_token_count is not None else 2**62,
+        decision.token_ids[keep],
+        decision.expert_ids[keep],
+        decision.scores[keep],
+        decision.num_experts,
+        decision.num_tokens,
+    )
+
+
+def reference_route(policy, hidden, step=None):
+    """Per-rank ``route``: project one rank's hidden states, then decide."""
+    hidden = np.asarray(hidden, dtype=np.float64)
+    return reference_decide(policy, hidden @ policy.weight, step)

@@ -167,8 +167,9 @@ class TestMegablocks:
         gate = TopKGate(16, 8, 2, rng=np.random.default_rng(5))
         experts = ExpertBank(8, 16, 8, rng=np.random.default_rng(6))
         dispatcher = MegablocksDispatcher(gate, experts, block_size=4)
-        token_idx, expert_idx, stats = dispatcher.plan(
-            gate(Tensor(rng.normal(size=(32, 16)))).top_experts
+        decision = gate(Tensor(rng.normal(size=(32, 16)))).decision
+        token_idx, expert_idx, stats = dispatcher.plan_assignments(
+            decision.token_ids, decision.expert_ids
         )
         assert token_idx.size == 32 * 2  # every assignment retained
 

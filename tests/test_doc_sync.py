@@ -63,6 +63,26 @@ def test_stale_camelcase_identifier_is_an_error():
     ]
 
 
+def test_stale_class_member_is_an_error():
+    """A backticked ``Class.member`` whose member src/ no longer defines
+    fails the check; inherited, field and ``self.`` members pass."""
+    checker = load_checker()
+    members = checker.class_members()
+    assert "to_pfts" in members["RoutingDecision"]
+    assert "route" in members["SoftmaxTopKPolicy"]  # inherited from _PolicyBase
+    assert "dispatch" in members["ParallelConfig"]  # dataclass field
+    text = (
+        "`RoutingDecision.to_pfts(decisions)` replaced "
+        "`RoutingDecision.from_topk`; `SoftmaxTopKPolicy.route`, "
+        "`ParallelConfig.dispatch`, `np.ndarray` and `BENCH_11.json` are fine, "
+        "`GoneClass.method` is not."
+    )
+    assert checker.stale_members(text, members) == [
+        "GoneClass.method",
+        "RoutingDecision.from_topk",
+    ]
+
+
 def test_related_paths_warn_not_fail():
     """Dangling /root/related references are advisory, never errors.
 

@@ -22,8 +22,9 @@ from repro.routing import (
     make_policy,
 )
 from repro.tensor import Tensor
-from repro.xmoe import build_pft
+from repro.xmoe import build_pft_reference
 from repro.xmoe.trainer import policy_for_config, run_routing_validation
+from tests.helpers import reference_decide
 
 HIDDEN, EXPERTS, TOP_K = 16, 8, 3
 
@@ -65,11 +66,14 @@ class TestDefaultPolicyOracle:
         assert out.drop_eligible.any()
 
     def test_decision_pft_matches_legacy_build_pft(self, hidden):
+        """The decision's PFT equals Listing 1's reference construction."""
         gate = TopKGate(HIDDEN, EXPERTS, TOP_K, rng=np.random.default_rng(0))
         out = gate(Tensor(hidden))
         for capacity in (1, 5, 10**6):
             via_decision = out.decision.to_pft(capacity)
-            legacy = build_pft(capacity, out.top_experts, out.top_scores, EXPERTS)
+            legacy = build_pft_reference(
+                capacity, out.top_experts, out.top_scores, EXPERTS
+            )
             np.testing.assert_array_equal(via_decision.token_ids, legacy.token_ids)
             np.testing.assert_array_equal(via_decision.expert_ids, legacy.expert_ids)
             np.testing.assert_array_equal(
@@ -79,6 +83,24 @@ class TestDefaultPolicyOracle:
                 via_decision.tokens_per_expert, legacy.tokens_per_expert
             )
             assert via_decision.dropped_assignments == legacy.dropped_assignments
+
+
+    @pytest.mark.parametrize("name", ROUTER_POLICY_NAMES)
+    def test_gate_decision_matches_reference_decide(self, name, hidden):
+        """The gate's logits-only ``decide`` call (an R=1 ``decide_batch``)
+        equals the per-rank reference selection on the same logits."""
+        policy = make_policy(name, HIDDEN, EXPERTS, TOP_K, seed=4)
+        gate = TopKGate(HIDDEN, EXPERTS, TOP_K, rng=np.random.default_rng(0), policy=policy)
+        out = gate(Tensor(hidden), step=3)
+        expected = reference_decide(policy, out.logits.data, step=3)
+        decision = out.decision
+        np.testing.assert_array_equal(decision.token_ids, expected.token_ids)
+        np.testing.assert_array_equal(decision.expert_ids, expected.expert_ids)
+        np.testing.assert_array_equal(decision.scores, expected.scores)
+        np.testing.assert_array_equal(decision.dropped, expected.dropped)
+        np.testing.assert_array_equal(decision.probs, expected.probs)
+        assert decision.aux_loss == expected.aux_loss
+        assert decision.z_loss == expected.z_loss
 
 
 class TestDeterminism:

@@ -3,10 +3,11 @@
 The contract everything in ``repro.runtime`` rests on: the batched stages —
 :meth:`RouterPolicy.route_batch`, :func:`build_pft_flat_batched` /
 :meth:`RoutingDecision.to_pfts`, and the full :class:`StepRuntime` step —
-are **bit-identical** to the sequential per-rank loop they replaced, for
-every router policy, every dispatch kind, and randomized shapes, seeds, and
-skews (including expert-choice's non-rectangular selections, weight ties,
-and duplicate assignments).  Plus the runtime's own behavior: workspace
+are **bit-identical** to a sequential per-rank loop over the reference
+selection bodies and PFT builder in ``tests/helpers.py``, for every router
+policy, every dispatch kind, and randomized shapes, seeds, and skews
+(including expert-choice's non-rectangular selections, weight ties, and
+duplicate assignments).  Plus the runtime's own behavior: workspace
 buffer reuse, trace hooks, dtype-derived payload accounting, and the ragged
 fallback.
 """
@@ -20,7 +21,8 @@ from repro.routing import ROUTER_POLICY_NAMES, make_dispatcher, make_policy
 from repro.routing.policies import RoutingDecision, skewed_router_tokens
 from repro.routing.telemetry import RoutingTelemetry
 from repro.runtime import StepRuntime, StepWorkspace
-from repro.xmoe.pft import build_pft_flat, build_pft_flat_batched
+from repro.xmoe.pft import build_pft_flat_batched
+from tests.helpers import reference_pft_flat, reference_route, reference_to_pft
 
 
 def _assert_decisions_equal(a: RoutingDecision, b: RoutingDecision) -> None:
@@ -59,7 +61,7 @@ def _policy_and_hidden(name, *, num_ranks, tokens, hidden, experts, top_k, seed,
 
 
 # ----------------------------------------------------------------------
-# route_batch / to_pfts vs the sequential per-rank loop
+# route_batch / to_pfts vs the per-rank reference loop
 # ----------------------------------------------------------------------
 class TestRouteBatchEquivalence:
     @pytest.mark.parametrize("name", ROUTER_POLICY_NAMES)
@@ -86,26 +88,29 @@ class TestRouteBatchEquivalence:
             seed=seed,
             skew=skew,
         )
-        sequential = [policy.route(h, step=step) for h in batches]
+        sequential = [reference_route(policy, h, step=step) for h in batches]
         batched = policy.route_batch(batches, step=step)
         assert len(batched) == num_ranks
-        for a, b in zip(sequential, batched):
+        for a, b, h in zip(sequential, batched, batches):
             _assert_decisions_equal(a, b)
+            _assert_decisions_equal(a, policy.route(h, step=step))
             b.validate()
         for capacity in (1, 7, None):
-            per_rank = [d.to_pft(capacity) for d in sequential]
+            per_rank = [reference_to_pft(d, capacity) for d in sequential]
             stacked = RoutingDecision.to_pfts(batched, capacity)
-            for a, b in zip(per_rank, stacked):
+            for a, b, d in zip(per_rank, stacked, batched):
                 _assert_pfts_equal(a, b)
+                _assert_pfts_equal(a, d.to_pft(capacity))
                 b.validate()
 
     @pytest.mark.parametrize("name", ROUTER_POLICY_NAMES)
     def test_ragged_rank_batches_fall_back(self, name):
-        """Unequal per-rank token counts still route, via the sequential path."""
+        """Unequal per-rank token counts (zero-token ranks included) still
+        route, one R=1 batch per rank."""
         policy = make_policy(name, 8, 6, 2, rng=np.random.default_rng(0), seed=3)
         rng = np.random.default_rng(1)
-        batches = [rng.normal(size=(s, 8)) for s in (5, 9, 1)]
-        sequential = [policy.route(h, step=2) for h in batches]
+        batches = [rng.normal(size=(s, 8)) for s in (5, 9, 1, 5, 0, 1)]
+        sequential = [reference_route(policy, h, step=2) for h in batches]
         batched = policy.route_batch(batches, step=2)
         for a, b in zip(sequential, batched):
             _assert_decisions_equal(a, b)
@@ -128,12 +133,13 @@ class TestRouteBatchEquivalence:
         """S=0 ranks must not crash the stacked path (drained data shards)."""
         policy = make_policy(name, 8, 4, 2, rng=np.random.default_rng(0), seed=1)
         batches = [np.zeros((0, 8)), np.zeros((0, 8))]
-        sequential = [policy.route(h, step=0) for h in batches]
+        sequential = [reference_route(policy, h, step=0) for h in batches]
         batched = policy.route_batch(batches, step=0)
         for a, b in zip(sequential, batched):
             _assert_decisions_equal(a, b)
         for a, b in zip(
-            [d.to_pft(3) for d in sequential], RoutingDecision.to_pfts(batched, 3)
+            [reference_to_pft(d, 3) for d in sequential],
+            RoutingDecision.to_pfts(batched, 3),
         ):
             _assert_pfts_equal(a, b)
 
@@ -156,7 +162,7 @@ class TestRouteBatchEquivalence:
 
 
 # ----------------------------------------------------------------------
-# The batched PFT builder vs per-rank build_pft_flat
+# The batched PFT builder vs the per-rank reference builder
 # ----------------------------------------------------------------------
 class TestBatchedPFTBuilder:
     @settings(max_examples=60, deadline=None)
@@ -190,7 +196,7 @@ class TestBatchedPFTBuilder:
         assert len(batched) == num_ranks
         for rank in range(num_ranks):
             mask = rank_ids == rank
-            reference = build_pft_flat(
+            reference = reference_pft_flat(
                 capacity, token_ids[mask], expert_ids[mask], weights[mask],
                 experts, tokens,
             )
@@ -237,13 +243,14 @@ class TestStepRuntimeEquivalence:
         )
         capacity = StepRuntime.capacity_for(tokens, top_k, experts, 1.25)
 
-        # The manual loop every driver used before the runtime existed.
+        # The manual loop every workload used before the runtime existed, on
+        # the per-rank reference selection and PFT builder.
         manual_world = CommWorld(num_ranks=num_ranks)
         manual = make_dispatcher(
             manual_world.world_group(), experts, kind=kind, seed=seed
         )
-        decisions = [policy.route(h, step=0) for h in batches]
-        pfts = [d.to_pft(capacity) for d in decisions]
+        decisions = [reference_route(policy, h, step=0) for h in batches]
+        pfts = [reference_to_pft(d, capacity) for d in decisions]
         plan = manual.plan(pfts, step=0)
         expert_inputs, _ = manual.dispatch(batches, pfts, plan=plan)
         outputs = manual.combine(
