@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import PaddedMoELayer
-from repro.baselines.deepspeed_moe import compute_capacity
 from repro.config import MI250X_GCD
-from repro.moe import ExpertBank, TopKGate
+from repro.moe import ExpertBank, TopKGate, compute_capacity
 from repro.tensor import Tensor
 from repro.xmoe import KernelCostModel, PaddingFreeMoELayer, build_pft, gather_kernel, scatter_kernel, sequential_gemm
 

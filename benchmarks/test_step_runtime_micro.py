@@ -28,6 +28,7 @@ import numpy as np
 from conftest import print_table, write_record
 
 from repro.comm import CommWorld
+from repro.moe.layer import compute_capacity
 from repro.routing import make_dispatcher, make_policy
 from repro.routing.policies import skewed_router_tokens
 from repro.runtime import StepRuntime
@@ -66,7 +67,7 @@ def _workload(ep: int):
         rng=np.random.default_rng(SEED),
         seed=SEED,
     )
-    capacity = StepRuntime.capacity_for(TOKENS_PER_RANK, TOP_K, num_experts, 1.25)
+    capacity = compute_capacity(TOKENS_PER_RANK, TOP_K, num_experts, 1.25)
     hidden = [
         skewed_router_tokens(
             np.random.default_rng((SEED, 0, rank)),

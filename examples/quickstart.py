@@ -42,14 +42,14 @@ def main():
     fs = padding_free.last_stats
     print("DeepSpeed-MoE style (zero-padded) pipeline:")
     print(f"  expert capacity C                : {ps.capacity}")
-    print(f"  padded buffer slots (E*C)        : {ps.padded_slots}")
+    print(f"  padded buffer slots (E*C)        : {ps.buffer_rows}")
     print(f"  real routed tokens               : {ps.kept_assignments}")
     print(f"  padding fraction                 : {ps.padding_fraction:.1%}")
     print(f"  dispatch buffer + mask (KiB)     : "
           f"{(ps.dispatch_buffer_bytes + ps.dispatch_mask_bytes) / 1024:.0f}")
 
     print("\nX-MoE padding-free (PFT) pipeline:")
-    print(f"  routed tokens in PFT buffer      : {fs.num_routed_tokens}")
+    print(f"  routed tokens in PFT buffer      : {fs.kept_assignments}")
     print(f"  padding fraction                 : {fs.padding_fraction:.1%}")
     print(f"  dispatch buffer + ERI (KiB)      : "
           f"{(fs.dispatch_buffer_bytes + padding_free.last_pft.eri_bytes()) / 1024:.0f}")

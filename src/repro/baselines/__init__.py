@@ -6,28 +6,26 @@ created, which dtype the combine buffer uses, how the model is sharded —
 because those properties (not CUDA kernel details) are what the paper's
 comparisons measure.
 
-* :mod:`repro.baselines.deepspeed_moe` — GShard-style dense dispatch mask,
-  fixed expert capacity with zero padding, even all-to-all, and the
-  negative-score token-dropping policy (§5.6).
-* :mod:`repro.baselines.tutel` — the Tutel variant: same padded pipeline
-  plus the fp32 combine buffer it forces on AMD GPUs (Table 4) and an
-  adaptive parallelism switch.
+* :mod:`repro.baselines.deepspeed_moe` — :class:`PaddedMoELayer`, the
+  GShard-style capacity-padded layout of the one
+  :class:`~repro.moe.layer.MoELayer` pipeline: fixed expert capacity kept
+  first-come in token order, zero padding, and the negative-score
+  token-dropping policy (§5.6).
 * :mod:`repro.baselines.ted` — DeepSpeed-TED: tensor-expert-data three-way
   sharding description used by the memory/throughput models.
-* :mod:`repro.baselines.megablocks` — block-sparse dispatch that pads each
-  expert's token group to a block-size multiple.
+
+Tutel and Megablocks execute no layout of their own.  Tutel is the padded
+layout with an fp32 combine buffer on AMD GPUs
+(:meth:`~repro.moe.layer.MoELayerStats.combine_buffer_bytes`); Megablocks is
+the no-drop padding-free layout (``PaddingFreeMoELayer(...,
+capacity_factor=None)``) with each expert group rounded up to a GEMM block
+(:meth:`~repro.moe.layer.MoELayerStats.block_padded_rows`).
 """
 
-from repro.baselines.deepspeed_moe import PaddedMoELayer, PaddedDispatchStats
-from repro.baselines.tutel import TutelMoELayer
+from repro.baselines.deepspeed_moe import PaddedMoELayer
 from repro.baselines.ted import TEDShardingModel
-from repro.baselines.megablocks import MegablocksDispatcher, BlockPaddingStats
 
 __all__ = [
     "PaddedMoELayer",
-    "PaddedDispatchStats",
-    "TutelMoELayer",
     "TEDShardingModel",
-    "MegablocksDispatcher",
-    "BlockPaddingStats",
 ]

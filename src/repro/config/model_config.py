@@ -17,7 +17,6 @@ total / activated parameter counts that match Table 3 closely (10.1B,
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 
@@ -188,20 +187,6 @@ class MoEModelConfig:
             + self.num_dense_layers * per_dense_layer
             + self.embedding_params()
         )
-
-    def expert_capacity(self, tokens_per_rank: int, ep_size: int) -> int:
-        """Per-expert token capacity ``C`` used by padded dispatchers.
-
-        ``C = ceil(capacity_factor * k * tokens / E)`` following GShard,
-        where ``tokens`` is the local token count of a rank and experts are
-        spread over ``ep_size`` ranks.
-        """
-        if tokens_per_rank <= 0:
-            raise ValueError("tokens_per_rank must be positive")
-        if ep_size <= 0:
-            raise ValueError("ep_size must be positive")
-        avg_tokens_per_expert = tokens_per_rank * self.top_k / self.num_experts
-        return max(1, math.ceil(self.capacity_factor * avg_tokens_per_expert))
 
     # -- FLOPs accounting -----------------------------------------------
     def flops_per_token_layer(self) -> float:

@@ -1,15 +1,15 @@
 """Banks of fine-grained expert FFNs.
 
 An :class:`ExpertBank` holds the weights of all (local) experts of one MoE
-layer as stacked arrays ``w1: [E, H, F]`` and ``w2: [E, F, H]`` so that both
-execution styles the paper compares can run on the same weights:
-
-* **Padded batched matmul** (baseline): a single ``[E, C, H] @ [E, H, F]``
-  batched GEMM over fixed-capacity buffers, zero-padding included.
-* **Sequential GEMM** (X-MoE, §4.1.2): one GEMM per expert over exactly the
-  tokens routed to it, no padding.  The whole loop is one tape node,
-  :func:`repro.tensor.ops.grouped_ffn`, with a hand-written vector-Jacobian
-  product (VJP) that writes each expert's gradient slice once.
+layer as stacked arrays ``w1: [E, H, F]`` and ``w2: [E, F, H]``.  Every
+layout runs them the same way, as the sequential GEMM of §4.1.2: one GEMM
+per expert over that expert's buffer rows.  For the padding-free layout
+these are exactly the tokens routed to it; for the capacity-padded
+baseline they are its ``C`` rows, zero padding included (silu/relu/gelu
+map a zero row to a zero row, so padding costs FLOPs, not results).  The
+whole loop is one tape node, :func:`repro.tensor.ops.grouped_ffn`, with a
+hand-written vector-Jacobian product (VJP) that writes each expert's
+gradient slice once.
 """
 
 from __future__ import annotations
@@ -62,20 +62,6 @@ class ExpertBank:
         return 2 * self.hidden_size * self.ffn_hidden_size
 
     # ------------------------------------------------------------------
-    def forward_padded(self, expert_inputs: Tensor) -> Tensor:
-        """Batched execution over fixed-capacity buffers ``[E, C, H]``.
-
-        Zero-padded rows produce zero outputs (before bias-free projections),
-        reproducing the baseline's wasted FLOPs without changing results.
-        """
-        if expert_inputs.ndim != 3 or expert_inputs.shape[0] != self.num_experts:
-            raise ValueError(
-                f"expected [E={self.num_experts}, C, H] inputs, got {expert_inputs.shape}"
-            )
-        h = expert_inputs @ self.w1  # [E, C, F]
-        h = ops.activate(h, self.activation)
-        return h @ self.w2  # [E, C, H]
-
     def forward_sequential(
         self, tokens: Tensor, tokens_per_expert: np.ndarray
     ) -> Tensor:

@@ -53,6 +53,7 @@ def record_routing_run(
     import numpy as np
 
     from repro.comm import CommWorld
+    from repro.moe.layer import compute_capacity
     from repro.routing import PlanCache, make_dispatcher, make_policy
     from repro.routing.policies import skewed_router_tokens
     from repro.routing.telemetry import RoutingTelemetry
@@ -79,7 +80,7 @@ def record_routing_run(
     capacity = (
         None
         if capacity_factor is None
-        else StepRuntime.capacity_for(tokens_per_rank, top_k, num_experts, capacity_factor)
+        else compute_capacity(tokens_per_rank, top_k, num_experts, capacity_factor)
     )
     runtime = StepRuntime(
         policy,

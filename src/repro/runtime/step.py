@@ -44,7 +44,6 @@ memory tracking); a fallback is counted in the obs registry
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -227,7 +226,7 @@ class StepRuntime:
         hierarchical; the runtime is agnostic.
     capacity:
         Per-expert token cap applied during PFT construction, or ``None``
-        for no cap.  :meth:`capacity_for` computes the standard
+        for no cap.  :func:`repro.moe.layer.compute_capacity` computes the standard
         ``ceil(capacity_factor * S * k / E)`` rule.
     expert_weights:
         Optional ``(per_rank_w1, per_rank_w2)`` expert parameter lists; when
@@ -283,15 +282,6 @@ class StepRuntime:
         self.steps_run = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def capacity_for(
-        tokens_per_rank: int, top_k: int, num_experts: int, capacity_factor: float
-    ) -> int:
-        """The standard per-expert cap: ``ceil(c * S * k / E)``, at least 1."""
-        return max(
-            1, math.ceil(capacity_factor * tokens_per_rank * top_k / num_experts)
-        )
-
     def add_trace_hook(self, hook: TraceHook) -> None:
         """Register another per-step trace consumer."""
         self.trace_hooks.append(hook)

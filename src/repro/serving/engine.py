@@ -442,6 +442,7 @@ def make_serving_engine(
     steps resolve warm.  All randomness derives from ``seed``.
     """
     from repro.comm import CommWorld
+    from repro.moe.layer import compute_capacity
     from repro.routing import PlanCache, make_dispatcher, make_policy
     from repro.routing.telemetry import RoutingTelemetry
     from repro.runtime import StepRuntime
@@ -465,7 +466,7 @@ def make_serving_engine(
     telemetry.comm_stats = world.stats
     capacity = None
     if capacity_factor is not None:
-        capacity = StepRuntime.capacity_for(
+        capacity = compute_capacity(
             prefill_chunk, getattr(policy, "top_k", 1), num_experts, capacity_factor
         )
     runtime = StepRuntime(

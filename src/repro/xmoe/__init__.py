@@ -35,7 +35,7 @@ from repro.xmoe.kernels import (
     sequential_gemm,
     KernelCostModel,
 )
-from repro.xmoe.pipeline import PaddingFreeMoELayer, PaddingFreeStats
+from repro.xmoe.pipeline import PaddingFreeMoELayer
 from repro.xmoe.rbd import redundancy_rate
 from repro.xmoe.ssmb import SequenceShardedMoEBlock, ssmb_activation_saving_bytes
 from repro.xmoe.parallelism import PlacementPlan, plan_placement, expert_to_rank_map
@@ -68,7 +68,6 @@ __all__ = [
     "sequential_gemm",
     "KernelCostModel",
     "PaddingFreeMoELayer",
-    "PaddingFreeStats",
     "redundancy_rate",
     "SequenceShardedMoEBlock",
     "ssmb_activation_saving_bytes",

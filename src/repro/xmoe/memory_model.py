@@ -24,10 +24,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.baselines.deepspeed_moe import compute_capacity
 from repro.config.hardware import GPUSpec, MI250X_GCD
 from repro.config.model_config import MoEModelConfig
 from repro.config.parallel_config import ParallelConfig, ZeroStage
+from repro.moe.layer import compute_capacity
 
 
 class SystemKind(enum.Enum):

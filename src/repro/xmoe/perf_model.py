@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.deepspeed_moe import compute_capacity
-from repro.baselines.tutel import TutelMoELayer
 from repro.cluster.network import NetworkModel, TransferEstimate
 from repro.cluster.topology import LinkTier, Topology
 from repro.comm.cost_model import (
@@ -35,9 +33,14 @@ from repro.comm.cost_model import (
 from repro.config.hardware import SystemSpec, frontier_system
 from repro.config.model_config import MoEModelConfig
 from repro.config.parallel_config import ParallelConfig
+from repro.moe.layer import compute_capacity
 from repro.xmoe.kernels import KernelCostModel
 from repro.xmoe.memory_model import MoEMemoryModel, SystemKind
 from repro.xmoe.rbd import expected_redundancy_rate
+
+#: Speedup of Tutel's fused dispatch/combine kernels over the plain einsum
+#: pipeline on its capacity-padded buffers.
+TUTEL_KERNEL_EFFICIENCY = 1.35
 
 
 @dataclass
@@ -295,11 +298,11 @@ class MoEPerformanceModel:
             gate = self.kernels.gating_time(tokens, h, e, 4)
             dispatch_buffer = (
                 self.kernels.gather_time(e * capacity, h, dtype, coalesced=False)
-                / TutelMoELayer.kernel_efficiency_factor
+                / TUTEL_KERNEL_EFFICIENCY
             )
             combine_buffer = (
                 self.kernels.scatter_time(e * capacity, h, 4, coalesced=False)
-                / TutelMoELayer.kernel_efficiency_factor
+                / TUTEL_KERNEL_EFFICIENCY
             )
         else:
             gate = self.kernels.gating_time(tokens, h, e, dtype)

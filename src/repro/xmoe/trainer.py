@@ -35,6 +35,7 @@ from repro.config.hardware import SystemSpec, frontier_system
 from repro.obs import tracer as obs
 from repro.config.model_config import MoEModelConfig
 from repro.config.parallel_config import ParallelConfig, PlacementOrder, ZeroStage
+from repro.moe.layer import compute_capacity
 from repro.routing.engine import PlanDispatcher, make_dispatcher
 from repro.routing.policies import RouterPolicy, make_policy, skewed_router_tokens
 from repro.routing.telemetry import RoutingTelemetry
@@ -144,7 +145,7 @@ def run_routing_validation(
     runtime = StepRuntime(
         policy,
         dispatcher,
-        capacity=StepRuntime.capacity_for(
+        capacity=compute_capacity(
             tokens_per_rank, top_k, num_experts, capacity_factor
         ),
         telemetry=telemetry,

@@ -1,19 +1,19 @@
-"""Tests for the baseline systems: DeepSpeed-MoE, Tutel, TED, Megablocks."""
+"""Tests for the baseline systems: DeepSpeed-MoE, Tutel, TED, Megablocks.
+
+Tutel runs the padded layout and Megablocks the no-drop padding-free one;
+both are accounting on :class:`~repro.moe.layer.MoELayerStats`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    MegablocksDispatcher,
-    PaddedMoELayer,
-    TEDShardingModel,
-    TutelMoELayer,
-)
-from repro.baselines.deepspeed_moe import compute_capacity
+from repro.baselines import PaddedMoELayer, TEDShardingModel
 from repro.config import ParallelConfig, large_config
-from repro.moe import ExpertBank, TopKGate
+from repro.moe import ExpertBank, TopKGate, compute_capacity
 from repro.routing import SoftmaxTopKPolicy
 from repro.tensor import Tensor
+from repro.xmoe import PaddingFreeMoELayer
+from tests.helpers import ReferencePaddedMoELayer
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ class TestPaddedMoELayer:
         assert stats.num_tokens == 40
         assert stats.capacity == compute_capacity(40, 2, 8, 1.25)
         assert 0.0 <= stats.padding_fraction < 1.0
-        assert stats.kept_assignments + stats.dropped_by_capacity + stats.dropped_by_score == 80
+        assert stats.kept_assignments + stats.dropped_by_capacity + stats.dropped_by_policy == 80
 
     def test_no_drops_with_huge_capacity(self, gate_and_experts, rng):
         gate, experts = gate_and_experts
@@ -92,16 +92,16 @@ class TestPaddedMoELayer:
 
 
 class TestTutel:
+    """Tutel is the padded layout with an fp32 combine buffer on AMD."""
+
     def test_fp32_combine_on_amd(self, gate_and_experts, rng):
         gate, experts = gate_and_experts
-        layer = TutelMoELayer(gate, experts, on_amd=True)
+        layer = PaddedMoELayer(gate, experts)
         layer(Tensor(rng.normal(size=(32, 16))))
-        amd_bytes = layer.combine_buffer_bytes()
-        gate2 = TopKGate(16, 8, 2, rng=np.random.default_rng(7))
-        experts2 = ExpertBank(8, 16, 12, rng=np.random.default_rng(8))
-        layer2 = TutelMoELayer(gate2, experts2, on_amd=False)
-        layer2(Tensor(rng.normal(size=(32, 16))))
-        assert amd_bytes == 2 * layer2.combine_buffer_bytes()
+        stats = layer.last_stats
+        amd_bytes = stats.combine_buffer_bytes(4)
+        assert amd_bytes == 2 * stats.combine_buffer_bytes(2)
+        assert amd_bytes == 8 * stats.capacity * 16 * 4
 
     def test_same_numerics_as_deepspeed(self, rng):
         tokens = Tensor(rng.normal(size=(20, 16)))
@@ -109,14 +109,16 @@ class TestTutel:
         experts1 = ExpertBank(8, 16, 12, rng=np.random.default_rng(4))
         gate2 = TopKGate(16, 8, 2, rng=np.random.default_rng(3))
         experts2 = ExpertBank(8, 16, 12, rng=np.random.default_rng(4))
-        out1, _ = PaddedMoELayer(gate1, experts1)(tokens)
-        out2, _ = TutelMoELayer(gate2, experts2)(tokens)
-        np.testing.assert_allclose(out1.data, out2.data)
+        out1, _ = ReferencePaddedMoELayer(gate1, experts1)(tokens)
+        out2, _ = PaddedMoELayer(gate2, experts2)(tokens)
+        assert out1.data.tobytes() == out2.data.tobytes()
 
-    def test_buffer_bytes_requires_forward(self, gate_and_experts):
+    def test_buffer_bytes_requires_forward(self, gate_and_experts, rng):
         gate, experts = gate_and_experts
-        with pytest.raises(RuntimeError):
-            TutelMoELayer(gate, experts).combine_buffer_bytes()
+        layer = PaddedMoELayer(gate, experts)
+        assert layer.last_stats is None
+        layer(Tensor(rng.normal(size=(8, 16))))
+        assert layer.last_stats.combine_buffer_bytes(4) > 0
 
 
 class TestTED:
@@ -151,44 +153,45 @@ class TestTED:
 
 
 class TestMegablocks:
+    """Megablocks is the no-drop padding-free layout (``capacity_factor=None``)
+    with each expert group rounded up to a GEMM block."""
+
     def test_block_padding_overhead(self, rng):
         gate = TopKGate(16, 16, 4, rng=np.random.default_rng(5))
         experts = ExpertBank(16, 16, 8, rng=np.random.default_rng(6))
-        dispatcher = MegablocksDispatcher(gate, experts, block_size=128)
-        dispatcher(Tensor(rng.normal(size=(64, 16))))
-        stats = dispatcher.last_stats
+        layer = PaddingFreeMoELayer(gate, experts, capacity_factor=None)
+        layer(Tensor(rng.normal(size=(64, 16))))
+        stats = layer.last_stats
         # 64 tokens * k=4 = 256 assignments over 16 experts: every non-empty
         # expert group is rounded up to 128 rows, so padding is substantial.
-        assert stats.real_rows == 256
-        assert stats.padded_rows >= stats.real_rows
-        assert stats.padding_fraction > 0.5
+        assert stats.kept_assignments == 256
+        padded_rows = stats.block_padded_rows(128)
+        assert padded_rows >= stats.kept_assignments
+        assert 1.0 - stats.kept_assignments / padded_rows > 0.5
 
     def test_no_token_dropping(self, rng):
         gate = TopKGate(16, 8, 2, rng=np.random.default_rng(5))
         experts = ExpertBank(8, 16, 8, rng=np.random.default_rng(6))
-        dispatcher = MegablocksDispatcher(gate, experts, block_size=4)
-        decision = gate(Tensor(rng.normal(size=(32, 16)))).decision
-        token_idx, expert_idx, stats = dispatcher.plan_assignments(
-            decision.token_ids, decision.expert_ids
-        )
-        assert token_idx.size == 32 * 2  # every assignment retained
+        layer = PaddingFreeMoELayer(gate, experts, capacity_factor=None)
+        layer(Tensor(rng.normal(size=(32, 16))))
+        assert layer.last_stats.kept_assignments == 32 * 2  # every assignment retained
+        assert layer.last_stats.dropped_by_capacity == 0
 
     def test_matches_padding_free_numerics(self, rng):
-        """Megablocks never drops tokens, so with a no-drop capacity the
-        padding-free pipeline must produce identical outputs."""
-        from repro.xmoe import PaddingFreeMoELayer
-
+        """Megablocks never drops tokens, so a no-drop capacity factor on the
+        padding-free pipeline gives the same outputs as no cap at all."""
         tokens = Tensor(rng.normal(size=(24, 16)))
         gate1 = TopKGate(16, 8, 2, rng=np.random.default_rng(3))
         experts1 = ExpertBank(8, 16, 12, rng=np.random.default_rng(4))
         gate2 = TopKGate(16, 8, 2, rng=np.random.default_rng(3))
         experts2 = ExpertBank(8, 16, 12, rng=np.random.default_rng(4))
-        out1, _ = MegablocksDispatcher(gate1, experts1, block_size=8)(tokens)
+        out1, _ = PaddingFreeMoELayer(gate1, experts1, capacity_factor=None)(tokens)
         out2, _ = PaddingFreeMoELayer(gate2, experts2, capacity_factor=100.0)(tokens)
-        np.testing.assert_allclose(out1.data, out2.data, atol=1e-10)
+        assert out1.data.tobytes() == out2.data.tobytes()
 
-    def test_block_size_validation(self, rng):
-        gate = TopKGate(16, 8, 2)
-        experts = ExpertBank(8, 16, 8)
+    def test_block_size_validation(self, gate_and_experts, rng):
+        gate, experts = gate_and_experts
+        layer = PaddingFreeMoELayer(gate, experts, capacity_factor=None)
+        layer(Tensor(rng.normal(size=(8, 16))))
         with pytest.raises(ValueError):
-            MegablocksDispatcher(gate, experts, block_size=0)
+            layer.last_stats.block_padded_rows(0)

@@ -15,6 +15,7 @@ from repro.config import (
     small_sr_config,
     super_config,
 )
+from repro.moe.layer import compute_capacity
 
 
 class TestPaperConfigs:
@@ -97,16 +98,14 @@ class TestMoEModelConfig:
 
     def test_expert_capacity_formula(self):
         cfg = small_config()
-        capacity = cfg.expert_capacity(tokens_per_rank=2048, ep_size=8)
+        capacity = compute_capacity(2048, cfg.top_k, cfg.num_experts, cfg.capacity_factor)
         expected = math.ceil(1.25 * 2048 * 6 / 64)
         assert capacity == expected
 
     def test_expert_capacity_rejects_bad_inputs(self):
         cfg = small_config()
         with pytest.raises(ValueError):
-            cfg.expert_capacity(0, 8)
-        with pytest.raises(ValueError):
-            cfg.expert_capacity(128, 0)
+            compute_capacity(0, cfg.top_k, cfg.num_experts, cfg.capacity_factor)
 
     def test_scaled_returns_modified_copy(self):
         cfg = small_config()

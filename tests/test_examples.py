@@ -1,0 +1,35 @@
+"""The example scripts run to completion.
+
+They construct the MoE layers end to end, so a reshaped layer API that
+breaks them fails here instead of on a reader's first run.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script",
+    [["examples/quickstart.py"], ["examples/train_small_moe.py", "--steps", "3"]],
+    ids=lambda args: Path(args[0]).stem,
+)
+def test_example_exits_cleanly(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, *script],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

@@ -108,13 +108,12 @@ class TestEndToEndForwardBackward:
         assert float(loss_after.data) != pytest.approx(float(loss_before.data))
 
     def test_training_with_megablocks_dispatcher(self, tiny_config):
-        """The Megablocks baseline also trains end to end (no-drop path)."""
-        from repro.baselines import MegablocksDispatcher
-
+        """The Megablocks baseline (the no-drop padding-free layout) also
+        trains end to end."""
         dataset = SyntheticLMDataset(tiny_config.vocab_size, tiny_config.seq_length, seed=8)
         model = MoETransformerLM(
             tiny_config,
-            lambda g, e, c: MegablocksDispatcher(g, e, block_size=8),
+            lambda g, e, c: PaddingFreeMoELayer(g, e, capacity_factor=None),
             seed=13,
         )
         losses = train(model, dataset, steps=10)

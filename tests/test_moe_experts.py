@@ -1,6 +1,7 @@
-"""Tests for the expert bank's padded and sequential execution paths.
+"""Tests for the expert bank's sequential execution path.
 
-The sequential path is one tape node (:func:`repro.tensor.ops.grouped_ffn`)
+Every buffer layout runs it: the padded baseline's ``E*C`` buffer is a
+grouped run with ``C`` rows per expert.  The path is one tape node (:func:`repro.tensor.ops.grouped_ffn`)
 with a hand-written backward.  Its oracle is the composed graph it replaced
 — per-expert slice → ``@ w1[e]`` → activation → ``@ w2[e]`` → ``concat`` —
 kept here, and the two must agree bit for bit in outputs, gradients and
@@ -14,6 +15,7 @@ from repro.moe import ExpertBank, MoETransformerLM, SyntheticLMDataset, Transfor
 from repro.moe.gating import TopKGate
 from repro.tensor import Tensor, ops
 from repro.xmoe.pipeline import PaddingFreeMoELayer
+from tests.helpers import reference_forward_padded
 
 ACTIVATIONS = ("silu", "relu", "gelu")
 
@@ -70,26 +72,29 @@ class TestExpertBank:
         h = h / (1 + np.exp(-h))
         np.testing.assert_allclose(out, h @ bank.w2.data[1])
 
-    def test_padded_and_sequential_agree(self, bank, rng):
-        """The padded batched path and the sequential path must produce the
-        same outputs for the same token-to-expert assignment."""
+    def test_padded_and_sequential_agree(self, rng):
+        """The batched ``[E, C, H]`` matmul and the grouped run over the
+        ``E*C`` buffer with ``C`` rows per expert agree bit for bit, zero
+        padding rows included, in outputs and gradients."""
         capacity = 3
         counts = np.array([2, 0, 3, 1])
-        tokens = rng.normal(size=(int(counts.sum()), 8))
-        # Build padded [E, C, H] buffer.
         padded = np.zeros((4, capacity, 8))
-        offset = 0
         for e, c in enumerate(counts):
-            padded[e, :c] = tokens[offset : offset + c]
-            offset += c
-        padded_out = bank.forward_padded(Tensor(padded)).data
-        seq_out = bank.forward_sequential(Tensor(tokens), counts).data
-        offset = 0
-        for e, c in enumerate(counts):
-            np.testing.assert_allclose(
-                seq_out[offset : offset + c], padded_out[e, :c], atol=1e-12
-            )
-            offset += c
+            padded[e, :c] = rng.normal(size=(c, 8))
+        probe = Tensor(rng.normal(size=(4 * capacity, 8)))
+        for activation in ACTIVATIONS:
+            runs = []
+            for batched in (True, False):
+                bank = ExpertBank(4, 8, 6, rng=np.random.default_rng(0), activation=activation)
+                x = Tensor(padded.reshape(4 * capacity, 8).copy(), requires_grad=True)
+                if batched:
+                    out = reference_forward_padded(bank, x.reshape(4, capacity, 8))
+                    out = out.reshape(4 * capacity, 8)
+                else:
+                    out = bank.forward_sequential(x, np.full(4, capacity))
+                (out * probe).sum().backward()
+                runs.append([a.tobytes() for a in (out.data, x.grad, bank.w1.grad, bank.w2.grad)])
+            assert runs[0] == runs[1], activation
 
     def test_sequential_requires_matching_counts(self, bank, rng):
         tokens = Tensor(rng.normal(size=(5, 8)))
@@ -99,8 +104,9 @@ class TestExpertBank:
             bank.forward_sequential(tokens, np.array([5, 0, 0]))  # wrong length
 
     def test_padded_shape_validation(self, bank, rng):
+        """A padded buffer must hold exactly ``C`` rows for every expert."""
         with pytest.raises(ValueError):
-            bank.forward_padded(Tensor(rng.normal(size=(3, 2, 8))))
+            bank.forward_sequential(Tensor(rng.normal(size=(3 * 2, 8))), np.full(4, 2))
 
     def test_empty_experts_skip_gemm(self, bank, rng):
         counts = np.array([0, 4, 0, 0])

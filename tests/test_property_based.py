@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.deepspeed_moe import compute_capacity
 from repro.comm import CommWorld
+from repro.moe.layer import compute_capacity
 from repro.routing import make_dispatcher
 from tests.helpers import inter_node_bytes
 from repro.tensor import Tensor, ops

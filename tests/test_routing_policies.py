@@ -250,16 +250,16 @@ class TestMoELayersAcceptAnyPolicy:
 
     @pytest.mark.parametrize("router", ["switch-top1", "expert-choice"])
     def test_megablocks_dispatcher(self, router, rng):
-        from repro.baselines import MegablocksDispatcher
+        from repro.xmoe import PaddingFreeMoELayer
 
         policy = make_policy(router, HIDDEN, EXPERTS, 2, seed=1)
         gate = TopKGate(HIDDEN, EXPERTS, 2, rng=np.random.default_rng(5), policy=policy)
         experts = ExpertBank(EXPERTS, HIDDEN, 12, rng=np.random.default_rng(6))
-        dispatcher = MegablocksDispatcher(gate, experts, block_size=4)
+        layer = PaddingFreeMoELayer(gate, experts, capacity_factor=None)
         tokens = Tensor(rng.normal(size=(24, HIDDEN)))
-        out, _ = dispatcher(tokens)
+        out, _ = layer(tokens)
         assert out.shape == (24, HIDDEN)
-        assert dispatcher.last_stats.real_rows > 0
+        assert layer.last_stats.block_padded_rows(4) >= layer.last_stats.kept_assignments > 0
 
     def test_stepless_gate_calls_get_fresh_noise(self, rng):
         # Legacy callers that never pass step= must not freeze the policy's

@@ -111,6 +111,14 @@ def test_batching_invariance_with_capacity_drops(router):
     )
 
 
+@pytest.mark.parametrize("capacity_factor", (None, 1.25))
+def test_nonpositive_prefill_chunk_rejected(capacity_factor):
+    """The capacity is computed from ``prefill_chunk`` before the engine is
+    built; a chunk of 0 is a ``ValueError`` with or without a cap."""
+    with pytest.raises(ValueError):
+        _engine("softmax-topk", "flat", prefill_chunk=0, capacity_factor=capacity_factor)
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     pattern=st.sampled_from(("poisson", "bursty", "simultaneous")),

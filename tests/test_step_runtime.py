@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm import CommWorld
+from repro.moe.layer import compute_capacity
 from repro.routing import ROUTER_POLICY_NAMES, make_dispatcher, make_policy
 from repro.routing.policies import RoutingDecision, skewed_router_tokens
 from repro.routing.telemetry import RoutingTelemetry
@@ -241,7 +242,7 @@ class TestStepRuntimeEquivalence:
             seed=seed,
             skew=1.0,
         )
-        capacity = StepRuntime.capacity_for(tokens, top_k, experts, 1.25)
+        capacity = compute_capacity(tokens, top_k, experts, 1.25)
 
         # The manual loop every workload used before the runtime existed, on
         # the per-rank reference selection and PFT builder.
@@ -345,7 +346,7 @@ class TestStepRuntimeBehavior:
         runtime = StepRuntime(
             policy,
             make_dispatcher(world.world_group(), 8, kind="flat"),
-            capacity=StepRuntime.capacity_for(8, 2, 8, 1.25),
+            capacity=compute_capacity(8, 2, 8, 1.25),
             telemetry=telemetry,
             trace_hooks=tuple(trace_hooks),
         )

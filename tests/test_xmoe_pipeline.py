@@ -61,8 +61,8 @@ class TestPaddingFreeMoELayer:
         stats = layer.last_stats
         assert stats.padding_fraction == 0.0
         # The buffer holds at most the surviving assignments.
-        assert stats.num_routed_tokens <= 64 * 4
-        assert stats.dispatch_buffer_bytes == stats.num_routed_tokens * 16 * stats.dtype_bytes
+        assert stats.kept_assignments <= 64 * 4
+        assert stats.dispatch_buffer_bytes == stats.kept_assignments * 16 * stats.dtype_bytes
 
     def test_memory_smaller_than_padded_baseline(self, rng):
         """The headline memory claim: the padding-free dispatch buffer plus
@@ -84,8 +84,8 @@ class TestPaddingFreeMoELayer:
         experts = ExpertBank(4, 16, 8, rng=np.random.default_rng(1))
         layer = PaddingFreeMoELayer(gate, experts, capacity_factor=0.5)
         layer(Tensor(rng.normal(size=(64, 16))))
-        assert layer.last_stats.dropped_assignments > 0
-        assert layer.last_pft.dropped_assignments == layer.last_stats.dropped_assignments
+        assert layer.last_stats.dropped_by_capacity > 0
+        assert layer.last_pft.dropped_assignments == layer.last_stats.dropped_by_capacity
 
     def test_mismatched_gate_experts_rejected(self):
         gate = TopKGate(16, 8, 2)
