@@ -25,6 +25,7 @@ vectorized planner beats the seed bookkeeping by >= 10x (tunable via
 import gc
 import os
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +33,11 @@ from conftest import print_table, write_record
 
 from repro.comm import CommWorld
 from repro.routing import make_dispatcher
-from repro.routing.planner import select_pilots
 from repro.xmoe import build_pft
 
 S, K, E, NODES, HIDDEN = 4096, 8, 64, 8, 64
 RANKS = E  # one expert per rank, 8 ranks per Frontier node
 TOKENS_PER_RANK = S // RANKS
-
 
 
 def build_workload(seed=0):
@@ -50,6 +49,49 @@ def build_workload(seed=0):
         pfts.append(build_pft(10**6, top_experts, weights, E))
         tokens.append(rng.normal(size=(TOKENS_PER_RANK, HIDDEN)))
     return tokens, pfts
+
+
+@dataclass
+class RBDPlan:
+    """The seed's per-source-rank stage-0 plan: which PFT rows are pilots."""
+
+    pilot_mask: np.ndarray  # [B] bool
+    pilot_of: np.ndarray  # [B] index (into PFT rows) of each row's pilot
+    dest_rank: np.ndarray  # [B] destination group-local rank
+    dest_node: np.ndarray  # [B] destination node id
+
+
+def select_pilots(pft, dest_rank, dest_node, num_nodes, rng) -> RBDPlan:
+    """The seed's pilot rule: one random pilot per (token, destination node)
+    group of one source rank, drawn from a generator shared across ranks.
+
+    The library's :class:`~repro.routing.RBDPlanner` draws its pilots over
+    all ranks at once from ``(seed, step)``; this per-rank rule is part of
+    the baseline only.
+    """
+    b = pft.num_routed_tokens
+    if b == 0:
+        return RBDPlan(
+            pilot_mask=np.zeros(0, dtype=bool),
+            pilot_of=np.zeros(0, dtype=np.int64),
+            dest_rank=dest_rank,
+            dest_node=dest_node,
+        )
+    keys = pft.token_ids * num_nodes + dest_node
+    # Random pilot per (token, node) group: permute rows, then take the
+    # first occurrence of each key in permuted order.
+    perm = rng.permutation(b)
+    uniq_keys, first_in_perm = np.unique(keys[perm], return_index=True)
+    pilot_rows = perm[first_in_perm]
+    pilot_mask = np.zeros(b, dtype=bool)
+    pilot_mask[pilot_rows] = True
+    pilot_of = pilot_rows[np.searchsorted(uniq_keys, keys)]
+    return RBDPlan(
+        pilot_mask=pilot_mask,
+        pilot_of=pilot_of,
+        dest_rank=dest_rank,
+        dest_node=dest_node,
+    )
 
 
 def legacy_bookkeeping(pfts, expert_to_rank, rank_to_node, seed=0):

@@ -24,12 +24,13 @@ front of their experts", split into two orthogonal layers:
     :mod:`repro.routing.engine`)
     Decisions become PFTs (``RoutingDecision.to_pfts``, all ranks in one
     pass; ``to_pft`` is its one-rank case), per-rank PFTs are
-    compiled by :class:`FlatPlanner` (single uneven all-to-all; the
-    correctness oracle), :class:`RBDPlanner` (two-stage
-    redundancy-bypassing dispatch) or :class:`HierarchicalPlanner` (two
-    hops through per-node leaders) into a :class:`DispatchPlan` — all
+    compiled by :class:`FlatPlanner` (one group hop; the correctness
+    oracle), :class:`RBDPlanner` (redundancy-bypassing: a hop of pilots,
+    then a node hop of replicas) or :class:`HierarchicalPlanner` (node
+    gather, leader exchange, node scatter) into a :class:`DispatchPlan` —
+    an ordered list of hops plus the arrival tables, all
     dispatch/combine bookkeeping as flat numpy arrays, built once per step —
-    and :class:`PlanDispatcher` executes the plan behind the
+    and :class:`PlanDispatcher` walks the hops behind the
     :class:`Dispatcher` protocol (``plan → dispatch → run_experts →
     combine``).  ``make_dispatcher(group, num_experts, kind=...)`` is the
     one constructor, with ``kind`` in :data:`DISPATCH_KINDS` — the same
@@ -62,13 +63,7 @@ score-threshold knob.
 """
 
 from repro.routing.plan import DispatchPlan
-from repro.routing.planner import (
-    FlatPlanner,
-    HierarchicalPlanner,
-    RBDPlan,
-    RBDPlanner,
-    select_pilots,
-)
+from repro.routing.planner import FlatPlanner, HierarchicalPlanner, RBDPlanner
 from repro.routing.engine import (
     DISPATCH_KINDS,
     DISPATCH_OPS,
@@ -109,7 +104,6 @@ __all__ = [
     "NoisyTopKPolicy",
     "PlanCache",
     "PlanDispatcher",
-    "RBDPlan",
     "RBDPlanner",
     "Resolution",
     "StepSignature",
@@ -124,6 +118,5 @@ __all__ = [
     "load_balance_entropy",
     "make_dispatcher",
     "make_policy",
-    "select_pilots",
     "skewed_router_tokens",
 ]

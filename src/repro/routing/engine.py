@@ -1,25 +1,25 @@
-"""Plan execution: one thin engine for flat, RBD, and hierarchical dispatch.
+"""Plan execution: one thin engine walks the hops of any plan.
 
 :class:`PlanDispatcher` implements the :class:`Dispatcher` protocol —
 ``plan → dispatch → run_experts → combine`` — by *interpreting* a
-:class:`~repro.routing.plan.DispatchPlan`.  Every data movement is a buffer
-slice plus a planned uneven all-to-all
-(:meth:`~repro.comm.process_group.ProcessGroup.alltoallv_planned`), so the
+:class:`~repro.routing.plan.DispatchPlan`: dispatch walks the plan's hops
+forward, combine walks them in reverse, and neither asks which planner
+built the plan.  Every data movement is a buffer slice plus a planned
+uneven all-to-all
+(:meth:`~repro.comm.process_group.ProcessGroup.alltoallv_planned`) over the
+whole group or over each intra-node subgroup, as the hop says, so the
 per-op byte and tier accounting is computed from the plan's splits rather
-than re-derived from the payloads, and the hot path contains no per-row
-Python loops.  Hierarchical plans route through intra-node subgroups for
-their gather/scatter hops and through the full group for the
-leader-to-leader exchange, so every hop's bytes land on the right
-:class:`~repro.cluster.topology.LinkTier` in ``CommStats.bytes_by_tier``.
+than re-derived from the payloads, every hop's bytes land on the right
+:class:`~repro.cluster.topology.LinkTier` in ``CommStats.bytes_by_tier``,
+and the hot path contains no per-row Python loops.
 
 Bit-identical combine
 ---------------------
-The combine stage folds weighted expert outputs into per-(token, node)
-partial sums and then folds the partials in (token, node) order.  Every
-plan kind drives the *same* fold orders (``merge_perm`` / ``combine_perm``
-/ ``hM_fold_perm`` encode the (slot, expert) ordering), so the RBD and
-hierarchical paths return outputs exactly equal to the flat oracle — not
-merely close.
+Each reversed hop folds the rows it returns onto the hop's input slots
+with the hop's ``(slot, perm)`` fold, and each source finally folds its
+per-(token, node) partial sums per token.  Every planner writes its folds
+in the flat oracle's association order, so the RBD and hierarchical paths
+return outputs exactly equal to the flat oracle — not merely close.
 """
 
 from __future__ import annotations
@@ -30,13 +30,9 @@ import numpy as np
 
 from repro.comm.process_group import ProcessGroup
 from repro.config.parallel_config import DISPATCH_KINDS
-from repro.routing.plan import (
-    _OP_NAMES,
-    HIER_COMBINE_OPS,
-    HIER_DISPATCH_OPS,
-    DispatchPlan,
-)
+from repro.routing.plan import DispatchPlan, Hop
 from repro.routing.planner import (
+    HOP_OPS,
     FlatPlanner,
     HierarchicalPlanner,
     RBDPlanner,
@@ -45,11 +41,7 @@ from repro.routing.planner import (
 
 
 #: dispatch-side op names per plan kind (what the tier-byte benchmarks read).
-DISPATCH_OPS = {
-    "flat": ("dispatch_a2a",),
-    "rbd": ("rbd_s1_a2a", "rbd_s2_a2a"),
-    "hier": HIER_DISPATCH_OPS,
-}
+DISPATCH_OPS = {kind: tuple(op for op, _ in ops) for kind, ops in HOP_OPS.items()}
 
 
 @runtime_checkable
@@ -149,116 +141,63 @@ class PlanDispatcher:
         plan: DispatchPlan | None = None,
         step: int | None = None,
     ) -> tuple[list[np.ndarray], DispatchPlan]:
-        """Route tokens to their expert-hosting ranks as the plan dictates."""
+        """Route tokens to their expert-hosting ranks, walking the plan's hops."""
         size = self.group.size
         if len(per_rank_tokens) != size or len(per_rank_pfts) != size:
             raise ValueError("need one token buffer and one PFT per group rank")
         if plan is None:
             plan = self.plan(per_rank_pfts, step=step)
         hidden = per_rank_tokens[0].shape[1]
-        if plan.kind == "hier":
-            arrival = self._dispatch_hier(per_rank_tokens, plan)
-            return self._finish_dispatch(arrival, plan, hidden), plan
-        s1_op, s2_op, _, _ = _OP_NAMES[plan.kind]
-
-        # ---- stage 1: pilots travel to their expert's rank ------------
-        # Gather through the plan's own PFTs: a plan paired with different
-        # (even same-shaped) PFTs must not silently re-route tokens.
-        s1_send = [
-            per_rank_tokens[r][plan.pfts[r].token_ids[plan.send_rows[r]]]
-            for r in range(size)
-        ]
-        s1_recv, _ = self.group.alltoallv_planned(
-            s1_send, plan.send_splits, plan.recv_splits, op_name=s1_op
-        )
-
-        # ---- stage 2: replicas reconstructed and exchanged intra-node --
-        if s2_op is None:
-            arrival = s1_recv
-        else:
-            replica_recv: list[np.ndarray] = [None] * size  # type: ignore[list-item]
-            for members, ng in zip(plan.node_members, self.node_groups()):
-                send_bufs = [s1_recv[m][plan.s2_source_slot[m]] for m in members]
-                recvd, _ = ng.alltoallv_planned(
-                    send_bufs,
-                    [plan.s2_send_splits[m] for m in members],
-                    [plan.s2_recv_splits[m] for m in members],
-                    op_name=s2_op,
-                )
-                for j, m in enumerate(members):
-                    replica_recv[m] = recvd[j]
-            arrival = [
-                np.concatenate([s1_recv[d], replica_recv[d]], axis=0)
-                if replica_recv[d] is not None and replica_recv[d].shape[0]
-                else s1_recv[d]
-                for d in range(size)
-            ]
-
-        return self._finish_dispatch(arrival, plan, hidden), plan
-
-    def _finish_dispatch(
-        self, arrival: list[np.ndarray], plan: DispatchPlan, hidden: int
-    ) -> list[np.ndarray]:
-        """Canonically sort the arrival buffers and guard their shapes."""
-        expert_inputs = [arrival[d][plan.sort_order[d]] for d in range(self.group.size)]
-        # Guard: every destination's buffer must match its arrival table.
-        for d in range(self.group.size):
+        bufs: list[np.ndarray] = []
+        for k, hop in enumerate(plan.hops):
+            if k == 0:
+                # The first hop gathers PFT rows, read through the plan's
+                # own PFTs: a plan paired with different (even same-shaped)
+                # PFTs must not silently re-route tokens.
+                send = [
+                    tokens[pft.token_ids[g]]
+                    for tokens, pft, g in zip(per_rank_tokens, plan.pfts, hop.gather)
+                ]
+            else:
+                send = [buf[g] for buf, g in zip(bufs, hop.gather)]
+            recv = self._exchange(plan, hop, send)
+            if hop.append:
+                recv = [
+                    np.concatenate([buf, rows], axis=0) if rows.shape[0] else buf
+                    for buf, rows in zip(bufs, recv)
+                ]
+            bufs = recv
+        # Canonical (expert, src, row) grouping; every destination's buffer
+        # must match its arrival table.
+        expert_inputs = [buf[order] for buf, order in zip(bufs, plan.sort_order)]
+        for d in range(size):
             if expert_inputs[d].shape != (plan.arrival_src[d].size, hidden):
                 raise ValueError(
                     f"rank {d}: arrival buffer {expert_inputs[d].shape} does not "
                     f"match plan ({plan.arrival_src[d].size}, {hidden})"
                 )
-        return expert_inputs
+        return expert_inputs, plan
 
-    # ------------------------------------------------------------------
-    def _node_alltoallv(
-        self,
-        send: list[np.ndarray],
-        send_splits: list[np.ndarray],
-        recv_splits: list[np.ndarray],
-        plan: DispatchPlan,
-        op_name: str,
+    def _exchange(
+        self, plan: DispatchPlan, hop: Hop, send: list[np.ndarray], *, reverse=False
     ) -> list[np.ndarray]:
-        """One intra-node alltoallv per node subgroup, results in rank order."""
+        """One hop's all-to-all (reversed for combine), results in rank order."""
+        if reverse:
+            op, send_splits, recv_splits = hop.combine_op, hop.recv_splits, hop.send_splits
+        else:
+            op, send_splits, recv_splits = hop.op, hop.send_splits, hop.recv_splits
+        groups = self.node_groups() if hop.per_node else [self.group]
         out: list[np.ndarray] = [None] * self.group.size  # type: ignore[list-item]
-        for members, ng in zip(plan.node_members, self.node_groups()):
-            recvd, _ = ng.alltoallv_planned(
+        for members, group in zip(plan.hop_members(hop), groups):
+            recvd, _ = group.alltoallv_planned(
                 [send[m] for m in members],
                 [send_splits[m] for m in members],
                 [recv_splits[m] for m in members],
-                op_name=op_name,
+                op_name=op,
             )
             for j, m in enumerate(members):
                 out[m] = recvd[j]
         return out
-
-    def _dispatch_hier(
-        self, per_rank_tokens: list[np.ndarray], plan: DispatchPlan
-    ) -> list[np.ndarray]:
-        """Run the two-hop dispatch: gather → leader exchange → scatter."""
-        size = self.group.size
-        gather_op, inter_op, scatter_op = HIER_DISPATCH_OPS
-
-        # ---- hop A: members gather deduplicated rows onto the leader --
-        hA_send = [
-            per_rank_tokens[r][plan.pfts[r].token_ids[plan.send_rows[r]]]
-            for r in range(size)
-        ]
-        leader_buf = self._node_alltoallv(
-            hA_send, plan.hA_send_splits, plan.hA_recv_splits, plan, gather_op
-        )
-
-        # ---- hop B: one leader-to-leader inter-node exchange ----------
-        hB_send = [leader_buf[r][plan.hB_perm[r]] for r in range(size)]
-        hB_recv, _ = self.group.alltoallv_planned(
-            hB_send, plan.send_splits, plan.recv_splits, op_name=inter_op
-        )
-
-        # ---- hop C: dest leader scatters one row per assignment -------
-        hC_send = [hB_recv[r][plan.hC_gather[r]] for r in range(size)]
-        return self._node_alltoallv(
-            hC_send, plan.hC_send_splits, plan.hC_recv_splits, plan, scatter_op
-        )
 
     # ------------------------------------------------------------------
     def run_experts(
@@ -294,7 +233,7 @@ class PlanDispatcher:
         program=None,
         workspace=None,
     ) -> list[np.ndarray]:
-        """Weighted combine, reversing the dispatch stages of the plan.
+        """Weighted combine, walking the plan's hops in reverse.
 
         Given the plan's compiled ``program`` (an
         :class:`~repro.routing.plan_cache.ExecProgram`), the combine is the
@@ -310,115 +249,54 @@ class PlanDispatcher:
 
         # Undo the by-expert sort and apply the combine weights (the paper
         # scales before merging so replicas can sum onto their pilot).
-        weighted: list[np.ndarray] = []
+        bufs: list[np.ndarray] = []
         for d in range(size):
             un = np.empty_like(per_rank_expert_outputs[d])
             un[plan.sort_order[d]] = per_rank_expert_outputs[d]
-            weighted.append(un * plan.arrival_weight[d][:, None])
+            bufs.append(un * plan.arrival_weight[d][:, None])
 
-        if plan.kind == "hier":
-            return self._combine_hier(weighted, plan, num_tokens_per_rank, hidden, dtype)
-        _, _, c1_op, c2_op = _OP_NAMES[plan.kind]
-
-        # ---- stage C1: replica outputs merge onto their pilot ----------
-        if c1_op is None:
-            partials_dest = weighted
-        else:
-            c1_recv: list[np.ndarray] = [None] * size  # type: ignore[list-item]
-            for members, ng in zip(plan.node_members, self.node_groups()):
-                send_bufs = [weighted[m][plan.num_pilot_arrivals[m] :] for m in members]
-                recvd, _ = ng.alltoallv_planned(
-                    send_bufs,
-                    [plan.s2_recv_splits[m] for m in members],
-                    [plan.s2_send_splits[m] for m in members],
-                    op_name=c1_op,
+        for hop in reversed(plan.hops):
+            # An append hop's buffer ends with the rows it received; only
+            # those travel back, and the rows before them join the fold.
+            cut = [
+                buf.shape[0] - int(rows.sum()) if hop.append else 0
+                for buf, rows in zip(bufs, hop.recv_splits)
+            ]
+            returned = self._exchange(
+                plan, hop, [buf[c:] for buf, c in zip(bufs, cut)], reverse=True
+            )
+            bufs = [
+                _fold(
+                    np.concatenate([buf[:c], rows], axis=0) if c else rows,
+                    hop.fold_slot[r],
+                    None if hop.fold_perm is None else hop.fold_perm[r],
+                    dtype,
                 )
-                for j, m in enumerate(members):
-                    c1_recv[m] = recvd[j]
-            partials_dest = []
-            for d in range(size):
-                merged = np.zeros((plan.num_pilot_arrivals[d], hidden), dtype=dtype)
-                contributions = np.concatenate(
-                    [weighted[d][: plan.num_pilot_arrivals[d]], c1_recv[d]], axis=0
-                )
-                # merge_perm/merge_slot are already in fold order:
-                # (pilot slot, expert, src, row).
-                np.add.at(
-                    merged, plan.merge_slot[d], contributions[plan.merge_perm[d]]
-                )
-                partials_dest.append(merged)
+                for r, (buf, c, rows) in enumerate(zip(bufs, cut, returned))
+            ]
 
-        # ---- stage C2: per-(token, node) rows return to their source ---
-        returned, _ = self.group.alltoallv_planned(
-            partials_dest, plan.recv_splits, plan.send_splits, op_name=c2_op
-        )
-
-        # ---- source-side fold: partials, then (token, node) order ------
+        # ---- source-side fold: (token, node) partials per token -------
         outputs: list[np.ndarray] = []
         for r in range(size):
-            num_partials = plan.num_partials(r)
-            if plan.kind == "rbd":
-                # One returned row per partial group: a pure reorder.
-                partials = np.empty((num_partials, hidden), dtype=dtype)
-                partials[plan.combine_partial[r]] = returned[r]
-            else:
-                partials = np.zeros((num_partials, hidden), dtype=dtype)
-                perm = plan.combine_perm[r]
-                np.add.at(partials, plan.combine_partial[r][perm], returned[r][perm])
             out = np.zeros((num_tokens_per_rank[r], hidden), dtype=dtype)
-            np.add.at(out, plan.partial_token[r], partials)
+            np.add.at(out, plan.partial_token[r], bufs[r])
             outputs.append(out)
         return outputs
 
-    def _combine_hier(
-        self,
-        weighted: list[np.ndarray],
-        plan: DispatchPlan,
-        num_tokens_per_rank: list[int],
-        hidden: int,
-        dtype,
-    ) -> list[np.ndarray]:
-        """Reverse the two hops: scatter-back → leader exchange → gather-back."""
-        size = self.group.size
-        gather_op, inter_op, scatter_op = HIER_COMBINE_OPS
 
-        # ---- reverse hop C: members return weighted rows to the leader,
-        # which folds them onto their (token, node) group's hop-B slot in
-        # ascending expert order — the flat oracle's association order.
-        rev_c = self._node_alltoallv(
-            weighted, plan.hC_recv_splits, plan.hC_send_splits, plan, gather_op
-        )
-        merged: list[np.ndarray] = []
-        for r in range(size):
-            fold = np.zeros((int(plan.recv_splits[r].sum()), hidden), dtype=dtype)
-            np.add.at(fold, plan.hM_fold_slot[r], rev_c[r][plan.hM_fold_perm[r]])
-            merged.append(fold)
+def _fold(rows: np.ndarray, slot: np.ndarray, perm, dtype) -> np.ndarray:
+    """Sum ``rows[perm[i]]`` onto slot ``slot[i]``, in ``i`` order.
 
-        # ---- reverse hop B: leaders exchange the per-group partials back.
-        rev_b, _ = self.group.alltoallv_planned(
-            merged, plan.recv_splits, plan.send_splits, op_name=inter_op
-        )
-        back: list[np.ndarray] = []
-        for r in range(size):
-            buf = np.empty((plan.hB_perm[r].size, hidden), dtype=dtype)
-            buf[plan.hB_perm[r]] = rev_b[r]
-            back.append(buf)
-
-        # ---- reverse hop A: the leader returns each member's rows.
-        returned = self._node_alltoallv(
-            back, plan.hA_recv_splits, plan.hA_send_splits, plan, scatter_op
-        )
-
-        # ---- source-side fold: one row per partial group (pure reorder),
-        # then the (token, node)-ordered token fold shared with flat/RBD.
-        outputs: list[np.ndarray] = []
-        for r in range(size):
-            partials = np.empty((plan.num_partials(r), hidden), dtype=dtype)
-            partials[plan.combine_partial[r]] = returned[r]
-            out = np.zeros((num_tokens_per_rank[r], hidden), dtype=dtype)
-            np.add.at(out, plan.partial_token[r], partials)
-            outputs.append(out)
-        return outputs
+    Every slot receives at least one row; ``perm=None`` means exactly one
+    each, in ``rows`` order — a pure reorder.
+    """
+    if perm is None:
+        out = np.empty((slot.size, rows.shape[1]), dtype=dtype)
+        out[slot] = rows
+        return out
+    out = np.zeros((int(slot.max(initial=-1)) + 1, rows.shape[1]), dtype=dtype)
+    np.add.at(out, slot, rows[perm])
+    return out
 
 
 def make_dispatcher(

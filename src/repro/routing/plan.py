@@ -8,37 +8,43 @@ issues collectives with splits read straight off the plan.  Nothing about
 the routing is re-derived at execution time: no per-row Python loops, no
 dict slot-maps, no linear scans.
 
+A plan is a list of hops
+------------------------
+``DispatchPlan.hops`` is an ordered list of :class:`Hop` — one planned
+uneven all-to-all each.  Dispatch walks them forward: every rank gathers
+its send rows out of its current buffer, the hop exchanges them (over the
+whole group, or once per node subgroup), and the received rows replace the
+buffer — or, for an ``append`` hop, are appended to it.  The first hop
+gathers PFT rows of the source tokens; the last hop's buffer is the
+destination's arrival buffer.  Combine walks the hops in reverse: each
+reversed exchange returns what its hop delivered, and the hop's fold sums
+the returned rows (plus the kept rows of an ``append`` hop) back onto the
+hop's input slots.  The three dispatch kinds differ only in their hops:
+flat is one group hop, RBD a group hop of pilots plus an appending node hop
+of replicas, hierarchical a node gather, a leader exchange and a node
+scatter.
+
 Array conventions
 -----------------
 All per-rank fields are lists indexed by *group-local* rank.  The arrival
-buffer of a destination rank is laid out as ``[pilot rows ++ replica rows]``
-where the pilot part is ordered by ``(source rank, PFT row)`` — exactly the
-concatenation order of an uneven all-to-all — and the replica part (RBD
-only) is ordered by ``(pilot-holder member index, pilot slot, source, row)``.
-``sort_order`` re-groups the arrival buffer into the canonical
-``(expert, source, row)`` order consumed by the sequential GEMM; because the
-key is a total order on assignments, every planner produces **bit-identical
-expert input buffers**, which is what makes the RBD and hierarchical outputs
-exactly equal to the flat oracle.
-
-Hierarchical plans
-------------------
-``kind == "hier"`` replaces the single stage-1 all-to-all with a two-hop
-program (intra-node gather onto a per-node leader, one leader-to-leader
-inter-node exchange, intra-node scatter to the owning expert rank).  The
-``h*`` fields hold that program; the legacy stage-1 fields are reused for
-the pieces with the same shape (``send_rows`` = deduplicated rows leaving
-each source, ``send_splits``/``recv_splits`` = the leader-to-leader
-exchange matrix).
+tables (``arrival_*``) describe the last hop's buffer row by row.
+``sort_order`` re-groups that buffer into the canonical ``(expert, source,
+row)`` order consumed by the sequential GEMM; because the key is a total
+order on assignments, every planner produces **bit-identical expert input
+buffers**.  Every fold sums in the flat oracle's association order — per
+``(token, destination node)`` partial group in ascending expert order, then
+the partials per token in node order (``partial_token``) — which is what
+makes the RBD and hierarchical outputs exactly equal to the flat oracle.
 
 Collective schedule
 -------------------
 :meth:`DispatchPlan.comm_schedule` lists every collective that executing
-the plan issues — dispatch then combine — as ``(op name, member ranks,
-send-split matrix)`` in the engine's call order.  It is what lets the
-comm cost of a step be *derived from the plan* (splits × row bytes through
-the network model) instead of observed from an execution: the fused
-executor prices its ``CommEvent`` list from it before any data moves.
+the plan issues — dispatch over the hops, then combine over the reversed
+hops — as ``(op name, member ranks, send-split matrix)`` in the engine's
+call order.  It is what lets the comm cost of a step be *derived from the
+plan* (splits × row bytes through the network model) instead of observed
+from an execution: the fused executor prices its ``CommEvent`` list from it
+before any data moves.
 """
 
 from __future__ import annotations
@@ -49,26 +55,38 @@ import numpy as np
 
 from repro.cluster.topology import LinkTier
 
-#: op names recorded in CommStats per plan kind:
-#: (stage-1 dispatch, stage-2 replicas, combine stage C1, combine stage C2)
-_OP_NAMES = {
-    "flat": ("dispatch_a2a", None, None, "combine_a2a"),
-    "rbd": ("rbd_s1_a2a", "rbd_s2_a2a", "rbd_c1_a2a", "rbd_c2_a2a"),
-}
 
-#: op names for the hierarchical hops (dispatch gather/inter/scatter and
-#: their combine-side reversals).
-HIER_DISPATCH_OPS = ("hier_gather_a2a", "hier_inter_a2a", "hier_scatter_a2a")
-HIER_COMBINE_OPS = ("hier_c_gather_a2a", "hier_c_inter_a2a", "hier_c_scatter_a2a")
+@dataclass
+class Hop:
+    """One planned uneven all-to-all and its combine-side reversal.
+
+    Splits are per rank; a ``per_node`` hop's splits index the rank's node
+    members (one exchange per node subgroup), a group hop's the group
+    ranks.  ``fold_slot[r][i]`` is the input slot that contribution
+    ``fold_perm[r][i]`` sums onto, in fold order; the contributions are
+    the rows the reversed exchange returns (after the rows an ``append``
+    hop kept).  ``fold_perm is None`` marks a fold with one contribution
+    per slot — a pure reorder.
+    """
+
+    op: str  # dispatch op name recorded in CommStats
+    combine_op: str  # op name of the reversed exchange
+    per_node: bool  # exchange per node subgroup (else across the group)
+    gather: list[np.ndarray]  # input-buffer rows to send, in send order
+    send_splits: list[np.ndarray]  # rows to each peer
+    recv_splits: list[np.ndarray]  # rows from each peer
+    fold_slot: list[np.ndarray]
+    fold_perm: list[np.ndarray] | None
+    append: bool = False  # received rows extend the buffer
 
 
 @dataclass
 class DispatchPlan:
     """Vectorized routing plan shared by every dispatch path.
 
-    ``kind`` is ``"flat"`` (single uneven all-to-all; every assignment is
-    its own pilot), ``"rbd"`` (two-stage redundancy-bypassing dispatch), or
-    ``"hier"`` (two-hop hierarchical dispatch through per-node leaders).
+    ``kind`` is ``"flat"`` (one hop; every assignment travels), ``"rbd"``
+    (redundancy-bypassing: pilots, then replicas) or ``"hier"``
+    (hierarchical: through per-node leaders).  Only the planner reads it.
     """
 
     kind: str
@@ -78,61 +96,23 @@ class DispatchPlan:
     expert_to_rank: np.ndarray  # [E] group-local hosting rank per expert
     rank_to_node: np.ndarray  # [size] node id per group-local rank
     pfts: list  # list[PFT], one per source rank
+    node_members: list[np.ndarray]  # per node (ascending id): member ranks
+    hops: list[Hop]
 
-    # ---- stage-1 send program (the only all-to-all for flat) -------------
-    send_rows: list[np.ndarray]  # PFT row ids in inter-rank send order
-    send_splits: list[np.ndarray]  # [size] rows to each destination
-    recv_splits: list[np.ndarray]  # [size] rows from each source
-
-    # ---- per-destination arrival tables (pilots ++ replicas) -------------
+    # ---- per-destination arrival tables (the last hop's buffer) ----------
     arrival_src: list[np.ndarray]
     arrival_row: list[np.ndarray]
     arrival_expert: list[np.ndarray]
     arrival_weight: list[np.ndarray]
-    num_pilot_arrivals: list[int]  # length of the pilot part
     sort_order: list[np.ndarray]  # canonical (expert, src, row) grouping
     tokens_per_local_expert: list[np.ndarray]
 
-    # ---- stage-2 replica program (all empty for flat) --------------------
-    node_members: list[np.ndarray]  # per node (ascending id): member ranks
-    s2_source_slot: list[np.ndarray]  # per rank: pilot-arrival slots to copy
-    s2_send_splits: list[np.ndarray]  # per rank: [node group size]
-    s2_recv_splits: list[np.ndarray]  # per rank: [node group size]
-
-    # ---- combine merge program (per rank; empty for flat) ----------------
-    # Contributions = [own pilot outputs ++ C1-received replica outputs].
-    # ``merge_perm`` holds contribution indices in fold order — sorted by
-    # (pilot slot, expert, src, row) so the per-(token, node) partial sums
-    # fold in exactly the flat oracle's order — and ``merge_slot`` the
-    # target pilot slots aligned with that fold order.
-    merge_slot: list[np.ndarray]
-    merge_perm: list[np.ndarray]
-
-    # ---- source-side final combine ---------------------------------------
-    combine_partial: list[np.ndarray]  # returned row -> partial group id
-    combine_perm: list[np.ndarray]  # (group, expert) fold order
+    # ---- source-side token fold ------------------------------------------
     partial_token: list[np.ndarray]  # per partial group: sequence position
-
-    # ---- hierarchical two-hop program (empty unless kind == "hier") ------
-    # Hop A: every member sends its deduplicated rows to its node leader
-    # (``send_rows`` holds the rows in hop-A send order).  Hop B: one
-    # group-wide alltoallv in which only leaders exchange (its matrix lives
-    # in ``send_splits``/``recv_splits``).  Hop C: each destination leader
-    # scatters one row per assignment to the owning expert rank.
-    hA_send_splits: list[np.ndarray] = field(default_factory=list)  # [node size]
-    hA_recv_splits: list[np.ndarray] = field(default_factory=list)  # [node size]
-    hB_perm: list[np.ndarray] = field(default_factory=list)  # hop-A slot -> send row
-    hC_gather: list[np.ndarray] = field(default_factory=list)  # hop-B slot per send row
-    hC_send_splits: list[np.ndarray] = field(default_factory=list)  # [node size]
-    hC_recv_splits: list[np.ndarray] = field(default_factory=list)  # [node size]
-    # Combine-side leader fold: reverse-hop-C row indices in fold order
-    # (hop-B slot, expert) and the target hop-B slot per fold entry.
-    hM_fold_perm: list[np.ndarray] = field(default_factory=list)
-    hM_fold_slot: list[np.ndarray] = field(default_factory=list)
 
     # ---- plan statistics -------------------------------------------------
     total_assignments: int = 0
-    total_pilots: int = 0
+    total_pilots: int = 0  # rows leaving the sources (one per partial group unless flat)
     cross_node_assignments: int = 0  # assignments whose dest node != src node
     cross_node_pilots: int = 0  # rows actually sent inter-node
     # Payload rows each dispatch hop moves, keyed by the LinkTier the hop
@@ -142,17 +122,17 @@ class DispatchPlan:
     # ------------------------------------------------------------------
     @property
     def num_replicas(self) -> int:
-        """Assignments served locally instead of crossing stage 1."""
+        """Assignments that did not leave their source as their own row."""
         return self.total_assignments - self.total_pilots
 
     @property
     def cross_node_replicas(self) -> int:
-        """Rows the flat path would send inter-node but RBD does not."""
+        """Rows the flat path would send inter-node but this plan does not."""
         return self.cross_node_assignments - self.cross_node_pilots
 
     @property
     def redundancy(self) -> float:
-        """Fraction of assignments that did not travel in stage 1."""
+        """Fraction of assignments that did not leave their source."""
         if self.total_assignments == 0:
             return 0.0
         return self.num_replicas / self.total_assignments
@@ -178,8 +158,8 @@ class DispatchPlan:
         return int(self.partial_token[rank].size)
 
     def sent_rows(self) -> int:
-        """Total rows crossing the stage-1 all-to-all (pilots only for RBD)."""
-        return int(sum(r.size for r in self.send_rows))
+        """Total rows the sources send on the first hop."""
+        return int(sum(g.size for g in self.hops[0].gather))
 
     def stats_dict(self, row_bytes: int) -> dict[str, float]:
         """Pilot/replica counts, redundancy and stage bytes of this plan."""
@@ -192,6 +172,10 @@ class DispatchPlan:
             "stage2_bytes": float(self.num_replicas * row_bytes),
         }
 
+    def hop_members(self, hop: Hop) -> list[np.ndarray]:
+        """Member ranks of each exchange a hop issues, in issue order."""
+        return self.node_members if hop.per_node else [np.arange(self.size)]
+
     def comm_schedule(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """Every collective dispatch + combine issue, in the engine's order.
 
@@ -202,54 +186,54 @@ class DispatchPlan:
         is the rows ``members[i]`` sends to ``members[j]``.  Combine hops
         reverse their dispatch hop, so they send what that hop received.
         """
-        everyone = np.arange(self.size)
-
-        def whole(op: str, splits: list) -> list:
-            """One all-to-all over the whole group."""
-            return [(op, everyone, np.stack(splits))]
-
-        def per_node(op: str, splits: list) -> list:
-            """One all-to-all per node subgroup, nodes ascending."""
-            return [
-                (op, members, np.stack([splits[m] for m in members]))
-                for members in self.node_members
-            ]
-
-        if self.kind == "hier":
-            gather, inter, scatter = HIER_DISPATCH_OPS
-            c_gather, c_inter, c_scatter = HIER_COMBINE_OPS
-            return (
-                per_node(gather, self.hA_send_splits)
-                + whole(inter, self.send_splits)
-                + per_node(scatter, self.hC_send_splits)
-                + per_node(c_gather, self.hC_recv_splits)
-                + whole(c_inter, self.recv_splits)
-                + per_node(c_scatter, self.hA_recv_splits)
-            )
-        s1, s2, c1, c2 = _OP_NAMES[self.kind]
-        schedule = whole(s1, self.send_splits)
-        if s2 is not None:
-            schedule += per_node(s2, self.s2_send_splits)
-            schedule += per_node(c1, self.s2_recv_splits)
-        return schedule + whole(c2, self.recv_splits)
+        passes = [(hop, hop.op, hop.send_splits) for hop in self.hops]
+        passes += [(hop, hop.combine_op, hop.recv_splits) for hop in reversed(self.hops)]
+        return [
+            (op, members, np.stack([splits[m] for m in members]))
+            for hop, op, splits in passes
+            for members in self.hop_members(hop)
+        ]
 
     def validate(self) -> None:
         """Internal-consistency checks (used by the test suite)."""
-        if self.kind == "hier":
-            self._validate_hier()
-        else:
+        # Rows in each rank's buffer before the current hop: PFT rows.
+        rows = [p.num_routed_tokens for p in self.pfts]
+        for h, hop in enumerate(self.hops):
+            out_rows = []
             for r in range(self.size):
-                if int(self.send_splits[r].sum()) != int(self.send_rows[r].size):
-                    raise AssertionError(
-                        f"rank {r}: send_splits do not sum to send_rows"
-                    )
+                gather, sent = hop.gather[r], int(hop.send_splits[r].sum())
+                if gather.size != sent:
+                    raise AssertionError(f"hop {h} rank {r}: gather != send_splits")
+                if gather.size and not 0 <= gather.min() <= gather.max() < rows[r]:
+                    raise AssertionError(f"hop {h} rank {r}: gather out of range")
+                received = int(hop.recv_splits[r].sum())
+                kept = rows[r] if hop.append else 0
+                out_rows.append(kept + received)
+                # The fold sums [kept ++ returned] onto the hop's input slots
+                # (the source's partial groups for the first hop).
+                targets = self.num_partials(r) if h == 0 else rows[r]
+                slot, perm = hop.fold_slot[r], hop.fold_perm
+                if slot.size != kept + gather.size:
+                    raise AssertionError(f"hop {h} rank {r}: fold misses contributions")
+                if perm is not None and not np.array_equal(
+                    np.sort(perm[r]), np.arange(slot.size)
+                ):
+                    raise AssertionError(f"hop {h} rank {r}: fold_perm not a permutation")
+                hits = np.bincount(slot, minlength=targets)
+                if hits.size != targets or (hits.size and hits.min() == 0):
+                    raise AssertionError(f"hop {h} rank {r}: fold does not cover slots")
+                if perm is None and hits.size and hits.max() != 1:
+                    raise AssertionError(f"hop {h} rank {r}: reorder fold repeats slots")
+            for members in self.hop_members(hop):
+                send = np.stack([hop.send_splits[m] for m in members])
+                recv = np.stack([hop.recv_splits[m] for m in members])
+                if not np.array_equal(send.T, recv):
+                    raise AssertionError(f"hop {h}: recv_splits not the send transpose")
+            rows = out_rows
         for d in range(self.size):
-            expected = np.array(
-                [self.send_splits[r][d] for r in range(self.size)], dtype=np.int64
-            )
-            if not np.array_equal(expected, self.recv_splits[d]):
-                raise AssertionError(f"rank {d}: recv_splits not the send transpose")
             n = self.arrival_src[d].size
+            if rows[d] != n:
+                raise AssertionError(f"rank {d}: last hop does not fill the arrivals")
             if not (
                 self.arrival_row[d].size
                 == self.arrival_expert[d].size
@@ -265,26 +249,3 @@ class DispatchPlan:
         arrivals = sum(self.arrival_src[d].size for d in range(self.size))
         if arrivals != self.total_assignments:
             raise AssertionError("arrival rows do not cover all assignments")
-
-    def _validate_hier(self) -> None:
-        """Consistency checks specific to the two-hop hierarchical program."""
-        for r in range(self.size):
-            if int(self.hA_send_splits[r].sum()) != int(self.send_rows[r].size):
-                raise AssertionError(
-                    f"rank {r}: hop-A send_splits do not sum to send_rows"
-                )
-            if int(self.send_splits[r].sum()) != int(self.hA_recv_splits[r].sum()):
-                raise AssertionError(
-                    f"rank {r}: hop-B sends do not cover the hop-A gather"
-                )
-            if self.hB_perm[r].size != int(self.hA_recv_splits[r].sum()):
-                raise AssertionError(f"rank {r}: hB_perm does not index hop-A buffer")
-            if self.hC_gather[r].size != int(self.hC_send_splits[r].sum()):
-                raise AssertionError(f"rank {r}: hC_gather/hC_send_splits disagree")
-            if int(self.hC_recv_splits[r].sum()) != self.arrival_src[r].size:
-                raise AssertionError(
-                    f"rank {r}: hop-C receives do not match the arrival table"
-                )
-        scattered = sum(int(self.hC_send_splits[r].sum()) for r in range(self.size))
-        if scattered != self.total_assignments:
-            raise AssertionError("hop-C scatter does not cover all assignments")

@@ -1,22 +1,31 @@
 """Vectorized routing planners: flat all-to-all, redundancy-bypassing, and
-hierarchical two-hop dispatch.
+hierarchical dispatch.
 
-All planners compile per-rank PFTs into a :class:`~repro.routing.plan.DispatchPlan`
-by whole-array numpy operations over one global assignment table:
+Every planner compiles per-rank PFTs into a
+:class:`~repro.routing.plan.DispatchPlan` — an ordered list of
+:class:`~repro.routing.plan.Hop` plus the destination arrival tables — by
+whole-array numpy operations over one global assignment table:
 
-* a single stable sort by destination yields every rank's arrival order,
-  and scattering each pilot's arrival slot into a ``slot_of`` array indexed
-  by global assignment id replaces the legacy per-destination dict
-  slot-maps and the O(B²) combine-side linear scan with one gather,
-* the stage-1/stage-2 send programs, the canonical (expert, src, row)
-  expert grouping, and the combine merge/fold orders each fall out of one
-  combined-key argsort (:func:`_argsort_key`) plus bincounts and slicing.
+* each hop's send order, gather index and reverse fold, and the arrival
+  order, fall out of combined-key argsorts (:func:`_argsort_key`),
+  bincounts and slicing; scattering each pilot's arrival slot into a
+  ``slot_of`` array indexed by global assignment id replaces the legacy
+  per-destination dict slot-maps and the O(B²) combine-side linear scan
+  with one gather;
+* one helper each builds the assignment table
+  (:meth:`_PlannerBase._assignments`), a hop's splits from the rows it
+  moves (:meth:`_PlannerBase._hop`), the arrival tables with their
+  canonical ``(dest, expert, src, row)`` grouping
+  (:meth:`_PlannerBase._arrivals`), and the plan with its statistics
+  (:meth:`_PlannerBase._plan`).
 
-:class:`FlatPlanner` treats every assignment as its own pilot (one uneven
-all-to-all, no stage 2) and doubles as the correctness oracle for
-:class:`RBDPlanner` and :class:`HierarchicalPlanner`: all three produce
+:class:`FlatPlanner` sends every assignment in one group hop and doubles
+as the correctness oracle for :class:`RBDPlanner` (a group hop of pilots,
+then an appending node hop of replicas) and :class:`HierarchicalPlanner`
+(node gather, leader exchange, node scatter): all three produce
 canonically ordered expert input buffers and fold combine partial sums in
 the same association order, so every path produces bit-identical outputs.
+:data:`HOP_OPS` names every hop's collectives.
 
 Determinism
 -----------
@@ -37,7 +46,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.topology import LinkTier
-from repro.routing.plan import DispatchPlan
+from repro.routing.plan import DispatchPlan, Hop
+
+#: ``(dispatch op, combine op)`` of every hop, in dispatch order, per plan
+#: kind: the op names CommStats records.  The planner writes each pair into
+#: its hop; the combine op runs the hop in reverse.
+HOP_OPS = {
+    "flat": (("dispatch_a2a", "combine_a2a"),),
+    "rbd": (("rbd_s1_a2a", "rbd_c2_a2a"), ("rbd_s2_a2a", "rbd_c1_a2a")),
+    "hier": (
+        ("hier_gather_a2a", "hier_c_scatter_a2a"),
+        ("hier_inter_a2a", "hier_c_inter_a2a"),
+        ("hier_scatter_a2a", "hier_c_gather_a2a"),
+    ),
+}
 
 
 def _rows_by_tier(tiers: np.ndarray) -> dict:
@@ -69,74 +91,36 @@ def _argsort_key(key: np.ndarray, *, tiebreak: bool = False) -> np.ndarray:
     return np.argsort(key)
 
 
-# ----------------------------------------------------------------------
-# Stage 0: pilot selection
-# ----------------------------------------------------------------------
+def _bounds(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: ``[0, c0, c0 + c1, ...]``."""
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+
+
+def _split(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """Per-rank views of a rank-major array cut at ``bounds``."""
+    b = bounds.tolist()
+    return [values[lo:hi] for lo, hi in zip(b[:-1], b[1:])]
+
+
 @dataclass
-class RBDPlan:
-    """Per-source-rank stage-0 plan: which PFT rows are pilots."""
+class _Assignments:
+    """The global assignment table: one entry per (source rank, PFT row),
+    rank-major."""
 
-    pilot_mask: np.ndarray  # [B] bool
-    pilot_of: np.ndarray  # [B] index (into PFT rows) of each row's pilot
-    dest_rank: np.ndarray  # [B] destination group-local rank
-    dest_node: np.ndarray  # [B] destination node id
-
-    @property
-    def num_pilots(self) -> int:
-        """Rows selected to travel inter-node."""
-        return int(self.pilot_mask.sum())
-
-    @property
-    def num_replicas(self) -> int:
-        """Rows reconstructed on the destination node instead of sent."""
-        return int((~self.pilot_mask).sum())
-
-    @property
-    def redundancy(self) -> float:
-        """Fraction of rows served as local replicas."""
-        total = self.pilot_mask.size
-        return 0.0 if total == 0 else self.num_replicas / total
+    total: int
+    max_rows: int  # bound on PFT row ids
+    max_tok: int  # bound on token ids
+    rank: np.ndarray
+    row: np.ndarray
+    token: np.ndarray
+    expert: np.ndarray
+    weight: np.ndarray
+    dest: np.ndarray  # rank hosting the expert
+    node: np.ndarray  # node of that rank
 
 
-def select_pilots(
-    pft,
-    dest_rank: np.ndarray,
-    dest_node: np.ndarray,
-    num_nodes: int,
-    rng: np.random.Generator,
-) -> RBDPlan:
-    """Pick one random pilot per (token, destination node) group."""
-    b = pft.num_routed_tokens
-    if b == 0:
-        return RBDPlan(
-            pilot_mask=np.zeros(0, dtype=bool),
-            pilot_of=np.zeros(0, dtype=np.int64),
-            dest_rank=dest_rank,
-            dest_node=dest_node,
-        )
-    keys = pft.token_ids * num_nodes + dest_node
-    # Random pilot per (token, node) group: permute rows, then take the
-    # first occurrence of each key in permuted order.
-    perm = rng.permutation(b)
-    uniq_keys, first_in_perm = np.unique(keys[perm], return_index=True)
-    pilot_rows = perm[first_in_perm]
-    pilot_mask = np.zeros(b, dtype=bool)
-    pilot_mask[pilot_rows] = True
-    pos = np.searchsorted(uniq_keys, keys)
-    pilot_of = pilot_rows[pos]
-    return RBDPlan(
-        pilot_mask=pilot_mask,
-        pilot_of=pilot_of,
-        dest_rank=dest_rank,
-        dest_node=dest_node,
-    )
-
-
-# ----------------------------------------------------------------------
-# Shared planner machinery
-# ----------------------------------------------------------------------
 class _PlannerBase:
-    """Validation and topology bookkeeping shared by both planners."""
+    """Topology bookkeeping and plan-building helpers shared by the planners."""
 
     kind: str = ""
 
@@ -178,6 +162,7 @@ class _PlannerBase:
             self.node_group_size[members] = members.size
             self.leader_of[members] = members[0]
             self.node_leader[self.rank_to_node[members[0]]] = members[0]
+        self._node_width = int(self.node_group_size.max())
         # Pairwise link tiers between group-local ranks (per-hop accounting).
         self.tier_matrix = topo.tier_matrix(np.asarray(group.ranks, dtype=np.int64))
         self._experts_by_rank = [
@@ -189,40 +174,133 @@ class _PlannerBase:
         return self._experts_by_rank[local_rank]
 
     # ------------------------------------------------------------------
+    def _assignments(self, pfts: list) -> _Assignments:
+        """Concatenate the per-rank PFTs into one global assignment table."""
+        if len(pfts) != self.group.size:
+            raise ValueError(f"need one PFT per group rank (got {len(pfts)})")
+        sizes = np.array([p.num_routed_tokens for p in pfts], dtype=np.int64)
+        total = int(sizes.sum())
+        rank = np.repeat(np.arange(self.group.size, dtype=np.int64), sizes)
+        expert = np.concatenate([p.expert_ids for p in pfts]).astype(
+            np.int64, copy=False
+        )
+        dest = self.expert_to_rank[expert]
+        return _Assignments(
+            total=total,
+            max_rows=int(sizes.max()) + 1,
+            max_tok=max((p.num_source_tokens for p in pfts), default=0) + 1,
+            rank=rank,
+            row=np.arange(total, dtype=np.int64) - _bounds(sizes)[rank],
+            token=np.concatenate([p.token_ids for p in pfts]).astype(
+                np.int64, copy=False
+            ),
+            expert=expert,
+            weight=np.concatenate([p.combine_weights for p in pfts]),
+            dest=dest,
+            node=self.rank_to_node[dest],
+        )
+
+    def _hop(
+        self,
+        index: int,
+        src: np.ndarray,
+        dst: np.ndarray,
+        gather: list,
+        fold_slot: list,
+        fold_perm: list | None = None,
+        *,
+        per_node: bool = False,
+        append: bool = False,
+    ) -> Hop:
+        """Hop ``index`` of this planner's kind; row ``i`` moves ``src[i] → dst[i]``."""
+        size = self.group.size
+        width = self._node_width if per_node else size
+        peer = self.member_index if per_node else np.arange(size)
+        cells = size * width
+        send = np.bincount(src * width + peer[dst], minlength=cells).reshape(size, width)
+        recv = np.bincount(dst * width + peer[src], minlength=cells).reshape(size, width)
+        if per_node:
+            widths = self.node_group_size.tolist()
+            send_splits = [send[r, :w] for r, w in enumerate(widths)]
+            recv_splits = [recv[r, :w] for r, w in enumerate(widths)]
+        else:
+            send_splits, recv_splits = list(send), list(recv)
+        op, combine_op = HOP_OPS[self.kind][index]
+        return Hop(
+            op, combine_op, per_node, gather, send_splits, recv_splits,
+            fold_slot, fold_perm, append,
+        )
+
+    def _arrivals(self, a: _Assignments, ids: np.ndarray, n_dest: np.ndarray) -> dict:
+        """Arrival tables: assignment ``ids`` in arrival order, ``n_dest`` per rank.
+
+        One global sort by (dest, expert, src, row) groups every buffer:
+        the key is a total order on assignments, so every planner produces
+        identical expert input buffers.
+        """
+        size, num_experts = self.group.size, self.num_experts
+        bounds = _bounds(n_dest)
+        src, row, expert = a.rank[ids], a.row[ids], a.expert[ids]
+        t_dest = np.repeat(np.arange(size, dtype=np.int64), n_dest)
+        t_local = np.arange(a.total, dtype=np.int64) - bounds[t_dest]
+        canon_key = ((t_dest * num_experts + expert) * size + src) * a.max_rows + row
+        expert_counts = np.bincount(
+            t_dest * num_experts + expert, minlength=size * num_experts
+        ).reshape(size, num_experts)
+        return dict(
+            arrival_src=_split(src, bounds),
+            arrival_row=_split(row, bounds),
+            arrival_expert=_split(expert, bounds),
+            arrival_weight=_split(a.weight[ids], bounds),
+            sort_order=_split(t_local[_argsort_key(canon_key)], bounds),
+            tokens_per_local_expert=[
+                expert_counts[d][self._experts_by_rank[d]] for d in range(size)
+            ],
+        )
+
+    def _plan(
+        self, a: _Assignments, pfts, hops, moves, arrivals, partial_token
+    ) -> DispatchPlan:
+        """Assemble the plan; ``moves`` holds each hop's ``(src, dst)`` rows."""
+        src_node, dst_node = self.rank_to_node[a.rank], a.node
+        return DispatchPlan(
+            kind=self.kind,
+            size=self.group.size,
+            num_experts=self.num_experts,
+            num_nodes=self.num_nodes,
+            expert_to_rank=self.expert_to_rank,
+            rank_to_node=self.rank_to_node,
+            pfts=list(pfts),
+            node_members=self.node_members,
+            hops=hops,
+            partial_token=partial_token,
+            **arrivals,
+            total_assignments=a.total,
+            total_pilots=int(moves[0][0].size),
+            cross_node_assignments=int((dst_node != src_node).sum()),
+            cross_node_pilots=sum(
+                int((self.rank_to_node[s] != self.rank_to_node[d]).sum())
+                for s, d in moves
+            ),
+            dispatch_rows_by_tier=_rows_by_tier(
+                np.concatenate([self.tier_matrix[s, d] for s, d in moves])
+            ),
+        )
+
+    # ------------------------------------------------------------------
     def _compile(self, pfts: list, rng: np.random.Generator | None) -> DispatchPlan:
         """Compile per-rank PFTs into a plan (``rng=None`` = flat dispatch).
 
-        Works on one global assignment table (a single concatenate per
-        field); pilot selection and every per-destination / per-source view
-        fall out of a handful of combined-key sorts, bincounts and
-        scatters, so the cost is O(B log B) whole-array work with no
-        per-row Python.
+        Works on one global assignment table; pilot selection and every
+        per-destination / per-source view fall out of a handful of
+        combined-key sorts, bincounts and scatters, so the cost is
+        O(B log B) whole-array work with no per-row Python.
         """
-        size = self.group.size
-        if len(pfts) != size:
-            raise ValueError(f"need one PFT per group rank (got {len(pfts)})")
-        num_nodes = self.num_nodes
-        num_experts = self.num_experts
+        a = self._assignments(pfts)
+        size, total = self.group.size, a.total
+        num_nodes, num_experts = self.num_nodes, self.num_experts
 
-        # ---- global assignment table --------------------------------
-        sizes = np.array([p.num_routed_tokens for p in pfts], dtype=np.int64)
-        total = int(sizes.sum())
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        max_rows = int(sizes.max()) + 1
-        rank_all = np.repeat(np.arange(size, dtype=np.int64), sizes)
-        row_all = np.arange(total, dtype=np.int64) - offsets[rank_all]
-        expert_all = np.concatenate([p.expert_ids for p in pfts]).astype(
-            np.int64, copy=False
-        )
-        token_all = np.concatenate([p.token_ids for p in pfts]).astype(
-            np.int64, copy=False
-        )
-        weight_all = np.concatenate([p.combine_weights for p in pfts])
-        dest_all = self.expert_to_rank[expert_all]
-        node_all = self.rank_to_node[dest_all]
-        max_tok = max((p.num_source_tokens for p in pfts), default=0) + 1
-
-        # ---- stage 0: pilot selection -------------------------------
+        # ---- pilot selection ----------------------------------------
         if rng is None:  # flat: every assignment is its own pilot
             g_idx = np.arange(total, dtype=np.int64)
         elif total == 0:
@@ -233,7 +311,7 @@ class _PlannerBase:
             # One random pilot per (rank, token, node) group: permute rows,
             # stable-sort the permuted keys, and take each key run's first
             # element (= a uniform group member).
-            keys0 = (rank_all * max_tok + token_all) * num_nodes + node_all
+            keys0 = (a.rank * a.max_tok + a.token) * num_nodes + a.node
             perm = rng.permutation(total)
             order0 = perm[_argsort_key(keys0[perm], tiebreak=True)]
             sorted_keys = keys0[order0]
@@ -246,279 +324,143 @@ class _PlannerBase:
             pilot_of_all = np.empty(total, dtype=np.int64)
             pilot_of_all[order0] = pilot_rows[np.cumsum(is_first) - 1]
             g_idx = np.flatnonzero(mask)
-        g_src, g_row = rank_all[g_idx], row_all[g_idx]
-        g_dest, g_expert = dest_all[g_idx], expert_all[g_idx]
-        g_weight = weight_all[g_idx]
-        sel_counts = np.bincount(g_src, minlength=size)
-        sel_bounds = np.concatenate([[0], np.cumsum(sel_counts)])
+        g_src, g_dest = a.rank[g_idx], a.dest[g_idx]
+        sel_bounds = _bounds(np.bincount(g_src, minlength=size))
 
-        # ---- stage-1 send program -----------------------------------
+        # ---- hop 0 send order ---------------------------------------
         # Send order on each source is a stable sort by destination (rows
         # already ascend); one combined-key argsort covers every rank.
         o_send1 = _argsort_key(g_src * size + g_dest, tiebreak=True)
         sent_global = g_idx[o_send1]
-        sent_row = row_all[sent_global]
-        send_rows = [sent_row[sel_bounds[r] : sel_bounds[r + 1]] for r in range(size)]
-        splits_mat = np.bincount(
-            g_src * size + g_dest, minlength=size * size
-        ).reshape(size, size)
-        send_splits = [splits_mat[r] for r in range(size)]
-        recv_splits = [splits_mat[:, d].copy() for d in range(size)]
 
-        # ---- arrival order ------------------------------------------
+        # ---- pilot arrival order ------------------------------------
         # Arrival order at destination d is (source rank, PFT row): the
         # all-to-all concatenates per-source chunks in rank order and each
         # source sends its rows in ascending-row order — i.e. a stable
         # sort by destination alone, since the sent table is already
-        # (src, row)-major.  ``slot_of`` scatters each pilot's arrival
-        # slot to its global assignment id; this is the vectorized index
-        # that replaces the seed's per-destination dict slot-maps.
+        # (src, row)-major.
         order = _argsort_key(g_dest, tiebreak=True)
-        p_src, p_row = g_src[order], g_row[order]
-        p_expert, p_weight = g_expert[order], g_weight[order]
         p_dest = g_dest[order]
         pilot_counts = np.bincount(p_dest, minlength=size)
-        bounds = np.concatenate([[0], np.cumsum(pilot_counts)])
-        num_pilot_arrivals = [int(pilot_counts[d]) for d in range(size)]
-        pil_local = np.arange(p_dest.size, dtype=np.int64) - bounds[p_dest]
-        slot_of = np.empty(total, dtype=np.int64)
-        slot_of[g_idx[order]] = pil_local
 
-        # ---- stage-2 replica program --------------------------------
-        empty_i = np.zeros(0, dtype=np.int64)
-        s2_source_slot = [empty_i] * size
-        mm = int(self.node_group_size.max())
-        zero_node_splits = [
-            np.zeros(int(self.node_group_size[r]), dtype=np.int64) for r in range(size)
-        ]
-        s2_send_splits = zero_node_splits
-        s2_recv_splits = list(zero_node_splits)
-        merge_slot: list[np.ndarray] = [empty_i] * size
-        merge_perm: list[np.ndarray] = [empty_i] * size
-
-        if rng is not None:
-            rep_idx = np.flatnonzero(~mask)
-            pil_global = pilot_of_all[rep_idx]
-            r_src, r_row = rank_all[rep_idx], row_all[rep_idx]
-            r_pr, r_dr = dest_all[pil_global], dest_all[rep_idx]
-            r_expert, r_weight = expert_all[rep_idx], weight_all[rep_idx]
-            # Pilot-slot index: one gather through ``slot_of`` instead of
-            # a per-replica dict lookup / linear scan.
-            r_slot = slot_of[pil_global]
-            r_pm = self.member_index[r_pr]  # pilot holder's node-member index
-            r_dm = self.member_index[r_dr]  # replica destination's index
-
-            # Send program on each pilot-holding rank: rows ordered by
-            # (destination member, pilot slot) with (src, row) ties kept
-            # by the composed position tie-break (the replica table is
-            # (src, row)-ordered).
-            max_pilots = int(pilot_counts.max()) + 1 if pilot_counts.size else 1
-            o_send = _argsort_key(
-                (r_pr * (mm + 1) + r_dm) * max_pilots + r_slot, tiebreak=True
-            )
-            pr_counts = np.bincount(r_pr, minlength=size)
-            pr_bounds = np.concatenate([[0], np.cumsum(pr_counts)])
-            s_slot, s_dm = r_slot[o_send], r_dm[o_send]
-            s_expert, s_rank = r_expert[o_send], r_pr[o_send]
-            s2_source_slot = [
-                s_slot[pr_bounds[p] : pr_bounds[p + 1]] for p in range(size)
-            ]
-            send_mat = np.bincount(r_pr * mm + r_dm, minlength=size * mm).reshape(
-                size, mm
-            )
-            s2_send_splits = [
-                send_mat[p, : int(self.node_group_size[p])] for p in range(size)
-            ]
-
-            # Arrival program on each replica destination: the intra-node
-            # all-to-all concatenates sender chunks in member order, each
-            # chunk ordered by (slot, src, row) — the same tie-break as the
-            # send program, so sender and receiver agree row by row.
-            o_arr = _argsort_key(
-                (r_dr * (mm + 1) + r_pm) * max_pilots + r_slot, tiebreak=True
-            )
-            dr_counts = np.bincount(r_dr, minlength=size)
-            dr_bounds = np.concatenate([[0], np.cumsum(dr_counts)])
-            a_src, a_row = r_src[o_arr], r_row[o_arr]
-            a_expert, a_weight, a_dest = r_expert[o_arr], r_weight[o_arr], r_dr[o_arr]
-            recv_mat = np.bincount(r_dr * mm + r_pm, minlength=size * mm).reshape(
-                size, mm
-            )
-            s2_recv_splits = [
-                recv_mat[d, : int(self.node_group_size[d])] for d in range(size)
-            ]
-
-            # Combine merge program: the C1 intra-node return delivers the
-            # replica outputs to each pilot holder in exactly its stage-2
-            # send order, so each rank's contribution buffer is
-            # [own pilot outputs ++ C1 receives] with target slots
-            # [0..P) ++ s2_source_slot; folding contributions sorted by
-            # (slot, expert) reproduces the flat oracle's per-(token, node)
-            # summation order exactly (experts are unique within a
-            # (rank, slot) group, so the combined key is a total order).
-            rep_local = (
-                pilot_counts[s_rank]
-                + np.arange(s_rank.size, dtype=np.int64)
-                - pr_bounds[s_rank]
-            )
-            c_rank = np.concatenate([p_dest, s_rank])
-            c_local = np.concatenate([pil_local, rep_local])
-            c_slot = np.concatenate([pil_local, s_slot])
-            c_expert = np.concatenate([p_expert, s_expert])
-            o_merge = _argsort_key(
-                (c_rank * max_pilots + c_slot) * num_experts + c_expert
-            )
-            m_local, m_slot = c_local[o_merge], c_slot[o_merge]
-            contrib_bounds = np.concatenate(
-                [[0], np.cumsum(pilot_counts + pr_counts)]
-            )
-            merge_perm = [
-                m_local[contrib_bounds[p] : contrib_bounds[p + 1]] for p in range(size)
-            ]
-            merge_slot = [
-                m_slot[contrib_bounds[p] : contrib_bounds[p + 1]] for p in range(size)
-            ]
-
-        # ---- arrival tables (pilots ++ replicas per destination) ----
-        if rng is None:
-            n_dest = pilot_counts
-            dest_bounds = bounds
-            arr_src_g, arr_row_g = p_src, p_row
-            arr_expert_g, arr_weight_g = p_expert, p_weight
-        else:
-            n_dest = pilot_counts + dr_counts
-            dest_bounds = np.concatenate([[0], np.cumsum(n_dest)])
-            pil_pos = dest_bounds[p_dest] + pil_local
-            rep_pos = (
-                dest_bounds[a_dest]
-                + pilot_counts[a_dest]
-                + np.arange(a_dest.size, dtype=np.int64)
-                - dr_bounds[a_dest]
-            )
-            arr_src_g = np.empty(total, dtype=np.int64)
-            arr_row_g = np.empty(total, dtype=np.int64)
-            arr_expert_g = np.empty(total, dtype=np.int64)
-            arr_weight_g = np.empty(total, dtype=np.float64)
-            for buf, pil, rep in (
-                (arr_src_g, p_src, a_src),
-                (arr_row_g, p_row, a_row),
-                (arr_expert_g, p_expert, a_expert),
-                (arr_weight_g, p_weight, a_weight),
-            ):
-                buf[pil_pos] = pil
-                buf[rep_pos] = rep
-        arrival_src = [
-            arr_src_g[dest_bounds[d] : dest_bounds[d + 1]] for d in range(size)
-        ]
-        arrival_row = [
-            arr_row_g[dest_bounds[d] : dest_bounds[d + 1]] for d in range(size)
-        ]
-        arrival_expert = [
-            arr_expert_g[dest_bounds[d] : dest_bounds[d + 1]] for d in range(size)
-        ]
-        arrival_weight = [
-            arr_weight_g[dest_bounds[d] : dest_bounds[d + 1]] for d in range(size)
-        ]
-
-        # ---- canonical expert grouping ------------------------------
-        # One global sort by (dest, expert, src, row): the key is a total
-        # order on assignments, so flat and RBD produce identical buffers.
-        t_dest = np.repeat(np.arange(size, dtype=np.int64), n_dest)
-        t_local = np.arange(total, dtype=np.int64) - dest_bounds[t_dest]
-        canon_key = (
-            (t_dest * num_experts + arr_expert_g) * size + arr_src_g
-        ) * max_rows + arr_row_g
-        o_canon = _argsort_key(canon_key)
-        canon_sorted = t_local[o_canon]
-        sort_order = [
-            canon_sorted[dest_bounds[d] : dest_bounds[d + 1]] for d in range(size)
-        ]
-        expert_counts = np.bincount(
-            t_dest * num_experts + arr_expert_g, minlength=size * num_experts
-        ).reshape(size, num_experts)
-        tokens_per_local_expert = [
-            expert_counts[d][self._experts_by_rank[d]] for d in range(size)
-        ]
-
-        # ---- source-side combine program ----------------------------
+        # ---- hop 0 fold: returned rows onto (token, node) partials --
         # One global sort with the source rank as the outermost key;
         # per-rank views fall out of the (rank-major) group ids.
         k_rank = g_src[o_send1]
-        k_tok = token_all[sent_global]
-        k_node = node_all[sent_global]
-        k_expert = expert_all[sent_global]
-        keys = (k_rank * max_tok + k_tok) * num_nodes + k_node
+        keys = (k_rank * a.max_tok + a.token[sent_global]) * num_nodes + a.node[
+            sent_global
+        ]
         if rng is not None:
             # RBD sends one row per (rank, token, node) group, so the keys
-            # are unique: a single argsort yields both the group index and
-            # the fold order.
+            # are unique: the fold is a pure reorder by group id.
             order_k = _argsort_key(keys)
             uniq = keys[order_k]
             inv = np.empty(keys.size, dtype=np.int64)
             inv[order_k] = np.arange(keys.size)
-            o_fold = order_k
         else:
             uniq, inv = np.unique(keys, return_inverse=True)
             # Fold order (group, expert): experts are unique within a group.
-            o_fold = _argsort_key(inv * num_experts + k_expert)
-        group_rank = uniq // (max_tok * num_nodes)
-        group_bounds = np.concatenate(
-            [[0], np.cumsum(np.bincount(group_rank, minlength=size))]
+            o_fold = _argsort_key(inv * num_experts + a.expert[sent_global])
+        group_bounds = _bounds(
+            np.bincount(uniq // (a.max_tok * num_nodes), minlength=size)
         )
         local_group = inv - group_bounds[k_rank]
-        fold_sorted = o_fold - sel_bounds[k_rank[o_fold]]
-        g_token = (uniq // num_nodes) % max_tok
-        combine_partial = [
-            local_group[sel_bounds[r] : sel_bounds[r + 1]] for r in range(size)
-        ]
-        combine_perm = [
-            fold_sorted[sel_bounds[r] : sel_bounds[r + 1]] for r in range(size)
-        ]
-        partial_token = [
-            g_token[group_bounds[r] : group_bounds[r + 1]] for r in range(size)
-        ]
+        partial_token = _split((uniq // num_nodes) % a.max_tok, group_bounds)
+        if rng is None:
+            fold0 = (
+                _split(local_group[o_fold], sel_bounds),
+                _split(o_fold - sel_bounds[k_rank[o_fold]], sel_bounds),
+            )
+        else:
+            fold0 = (_split(local_group, sel_bounds), None)
+        hops = [self._hop(0, g_src, g_dest, _split(a.row[sent_global], sel_bounds), *fold0)]
+        moves = [(g_src, g_dest)]
 
-        # ---- statistics ---------------------------------------------
-        src_node_all = self.rank_to_node[rank_all]
-        cross_all = int((node_all != src_node_all).sum())
-        cross_pilots = int((src_node_all[g_idx] != node_all[g_idx]).sum())
-        hop_tiers = [self.tier_matrix[g_src, g_dest]]
-        if rng is not None:
-            hop_tiers.append(self.tier_matrix[r_pr, r_dr])  # stage-2 replicas
-        rows_by_tier = _rows_by_tier(np.concatenate(hop_tiers))
+        if rng is None:
+            return self._plan(
+                a, pfts, hops, moves, self._arrivals(a, g_idx[order], pilot_counts),
+                partial_token,
+            )
 
-        return DispatchPlan(
-            kind=self.kind,
-            size=size,
-            num_experts=self.num_experts,
-            num_nodes=num_nodes,
-            expert_to_rank=self.expert_to_rank,
-            rank_to_node=self.rank_to_node,
-            pfts=list(pfts),
-            send_rows=send_rows,
-            send_splits=send_splits,
-            recv_splits=recv_splits,
-            arrival_src=arrival_src,
-            arrival_row=arrival_row,
-            arrival_expert=arrival_expert,
-            arrival_weight=arrival_weight,
-            num_pilot_arrivals=num_pilot_arrivals,
-            sort_order=sort_order,
-            tokens_per_local_expert=tokens_per_local_expert,
-            node_members=self.node_members,
-            s2_source_slot=s2_source_slot,
-            s2_send_splits=s2_send_splits,
-            s2_recv_splits=s2_recv_splits,
-            merge_slot=merge_slot,
-            merge_perm=merge_perm,
-            combine_partial=combine_partial,
-            combine_perm=combine_perm,
-            partial_token=partial_token,
-            total_assignments=total,
-            total_pilots=int(g_idx.size),
-            cross_node_assignments=cross_all,
-            cross_node_pilots=cross_pilots,
-            dispatch_rows_by_tier=rows_by_tier,
+        # ---- hop 1: replicas copied off their pilot, intra-node -----
+        # ``slot_of`` scatters each pilot's arrival slot to its global
+        # assignment id; this is the vectorized index that replaces the
+        # seed's per-destination dict slot-maps.
+        pil_local = np.arange(p_dest.size, dtype=np.int64) - _bounds(pilot_counts)[p_dest]
+        slot_of = np.empty(total, dtype=np.int64)
+        slot_of[g_idx[order]] = pil_local
+        rep_idx = np.flatnonzero(~mask)
+        pil_global = pilot_of_all[rep_idx]
+        r_pr, r_dr = a.dest[pil_global], a.dest[rep_idx]
+        # Pilot-slot index: one gather through ``slot_of`` instead of a
+        # per-replica dict lookup / linear scan.
+        r_slot = slot_of[pil_global]
+        r_pm = self.member_index[r_pr]  # pilot holder's node-member index
+        r_dm = self.member_index[r_dr]  # replica destination's index
+        mm = self._node_width
+        max_pilots = int(pilot_counts.max()) + 1 if pilot_counts.size else 1
+
+        # Send order on each pilot-holding rank: rows ordered by
+        # (destination member, pilot slot) with (src, row) ties kept by the
+        # composed position tie-break (the replica table is (src, row)-ordered).
+        o_send = _argsort_key(
+            (r_pr * (mm + 1) + r_dm) * max_pilots + r_slot, tiebreak=True
+        )
+        pr_counts = np.bincount(r_pr, minlength=size)
+        s_slot, s_rank = r_slot[o_send], r_pr[o_send]
+
+        # Fold on each pilot holder: the reversed hop returns the replica
+        # outputs in exactly its send order, so the contributions are
+        # [own pilot outputs ++ returned replicas] with target slots
+        # [0..P) ++ s_slot; folding them sorted by (slot, expert)
+        # reproduces the flat oracle's per-(token, node) summation order
+        # (experts are unique within a (rank, slot) group, so the combined
+        # key is a total order).
+        rep_local = (
+            pilot_counts[s_rank]
+            + np.arange(s_rank.size, dtype=np.int64)
+            - _bounds(pr_counts)[s_rank]
+        )
+        c_rank = np.concatenate([p_dest, s_rank])
+        c_local = np.concatenate([pil_local, rep_local])
+        c_slot = np.concatenate([pil_local, s_slot])
+        c_expert = np.concatenate([a.expert[g_idx[order]], a.expert[rep_idx[o_send]]])
+        o_merge = _argsort_key((c_rank * max_pilots + c_slot) * num_experts + c_expert)
+        contrib_bounds = _bounds(pilot_counts + pr_counts)
+        hops.append(
+            self._hop(
+                1, r_pr, r_dr,
+                _split(s_slot, _bounds(pr_counts)),
+                _split(c_slot[o_merge], contrib_bounds),
+                _split(c_local[o_merge], contrib_bounds),
+                per_node=True,
+                append=True,
+            )
+        )
+        moves.append((r_pr, r_dr))
+
+        # Arrival order on each replica destination: the intra-node
+        # all-to-all concatenates sender chunks in member order, each chunk
+        # ordered by (slot, src, row) — the same tie-break as the send
+        # order, so sender and receiver agree row by row.  Replicas follow
+        # the pilots in every destination buffer.
+        o_arr = _argsort_key(
+            (r_dr * (mm + 1) + r_pm) * max_pilots + r_slot, tiebreak=True
+        )
+        dr_counts = np.bincount(r_dr, minlength=size)
+        n_dest = pilot_counts + dr_counts
+        dest_bounds = _bounds(n_dest)
+        a_dest = r_dr[o_arr]
+        ids = np.empty(total, dtype=np.int64)
+        ids[dest_bounds[p_dest] + pil_local] = g_idx[order]
+        ids[
+            dest_bounds[a_dest]
+            + pilot_counts[a_dest]
+            + np.arange(a_dest.size, dtype=np.int64)
+            - _bounds(dr_counts)[a_dest]
+        ] = rep_idx[o_arr]
+        return self._plan(
+            a, pfts, hops, moves, self._arrivals(a, ids, n_dest), partial_token
         )
 
 
@@ -526,7 +468,7 @@ class FlatPlanner(_PlannerBase):
     """Single uneven all-to-all: every assignment travels to its expert.
 
     Serves both as the baseline dispatch engine and as the correctness
-    oracle for :class:`RBDPlanner`.
+    oracle for :class:`RBDPlanner` and :class:`HierarchicalPlanner`.
     """
 
     kind = "flat"
@@ -561,7 +503,7 @@ class RBDPlanner(_PlannerBase):
 
 
 class HierarchicalPlanner(_PlannerBase):
-    """Two-hop hierarchical dispatch through per-node leaders.
+    """Two-level hierarchical dispatch through per-node leaders.
 
     ColossalAI-style hierarchical all-to-all recast as a planner: tokens are
     (1) gathered intra-node onto a per-node *leader* over the fast
@@ -585,109 +527,73 @@ class HierarchicalPlanner(_PlannerBase):
     kind = "hier"
 
     def build(self, pfts: list, *, step: int | None = None) -> DispatchPlan:
-        """Compile per-rank PFTs into a two-hop plan (``step`` is unused)."""
+        """Compile per-rank PFTs into a three-hop plan (``step`` is unused)."""
         return self._compile_hier(pfts)
 
     # ------------------------------------------------------------------
     def _compile_hier(self, pfts: list) -> DispatchPlan:
-        """Build the two-hop plan from one global assignment table.
+        """Build the three-hop plan from one global assignment table.
 
         All bookkeeping falls out of combined-key argsorts and bincounts
         over flat arrays: the only Python loops run over ranks or nodes,
         never over rows.
         """
-        size = self.group.size
-        if len(pfts) != size:
-            raise ValueError(f"need one PFT per group rank (got {len(pfts)})")
-        num_nodes = self.num_nodes
-        num_experts = self.num_experts
-        mm = int(self.node_group_size.max())
-        leader_of, node_leader = self.leader_of, self.node_leader
-
-        # ---- global assignment table --------------------------------
-        sizes = np.array([p.num_routed_tokens for p in pfts], dtype=np.int64)
-        total = int(sizes.sum())
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        max_rows = int(sizes.max()) + 1
-        rank_all = np.repeat(np.arange(size, dtype=np.int64), sizes)
-        row_all = np.arange(total, dtype=np.int64) - offsets[rank_all]
-        expert_all = np.concatenate([p.expert_ids for p in pfts]).astype(
-            np.int64, copy=False
-        )
-        token_all = np.concatenate([p.token_ids for p in pfts]).astype(
-            np.int64, copy=False
-        )
-        weight_all = np.concatenate([p.combine_weights for p in pfts])
-        dest_all = self.expert_to_rank[expert_all]
-        dnode_all = self.rank_to_node[dest_all]
-        dmember_all = self.member_index[dest_all]
-        dleader_all = leader_of[dest_all]
-        max_tok = max((p.num_source_tokens for p in pfts), default=0) + 1
+        a = self._assignments(pfts)
+        size, total = self.group.size, a.total
+        num_nodes, num_experts = self.num_nodes, self.num_experts
+        mm = self._node_width
+        leader_of = self.leader_of
 
         # ---- dedup: one travelling row per (src, token, dest node) --
         # The group key is token-major per rank — the same key the flat
         # planner uses for its combine partial groups, so ``partial_token``
         # is identical across all three plan kinds.
-        key_g = (rank_all * max_tok + token_all) * num_nodes + dnode_all
-        uniq, inv = np.unique(key_g, return_inverse=True)
+        uniq, inv = np.unique(
+            (a.rank * a.max_tok + a.token) * num_nodes + a.node, return_inverse=True
+        )
         num_groups = uniq.size
-        g_rank = uniq // (max_tok * num_nodes)
-        g_token = (uniq // num_nodes) % max_tok
+        g_rank = uniq // (a.max_tok * num_nodes)
+        g_token = (uniq // num_nodes) % a.max_tok
         g_node = uniq % num_nodes
         rep_row = np.full(num_groups, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(rep_row, inv, row_all)
+        np.minimum.at(rep_row, inv, a.row)
         g_counts = np.bincount(g_rank, minlength=size)
-        g_bounds = np.concatenate([[0], np.cumsum(g_counts)])
-        # Position of each group within its rank, in (token, node) order —
-        # exactly the partial-group id of the flat combine.
-        g_localid = np.arange(num_groups, dtype=np.int64) - g_bounds[g_rank]
+        g_bounds = _bounds(g_counts)
 
         # ---- hop A: members gather onto their node leader -----------
         # Send order per source is (dest node, token); every row goes to
-        # the node leader (member 0), so the leader's arrival buffer is the
-        # member-order concatenation of those per-member runs.
-        o_hA = _argsort_key((g_rank * num_nodes + g_node) * max_tok + g_token)
-        hA_rows_sorted = rep_row[o_hA]
-        hA_send_rows = [
-            hA_rows_sorted[g_bounds[r] : g_bounds[r + 1]] for r in range(size)
+        # the node leader (member 0), so the leader's buffer is the
+        # member-order concatenation of those per-member runs.  The fold
+        # reorders the returned rows into partial-group id order.
+        o_hA = _argsort_key((g_rank * num_nodes + g_node) * a.max_tok + g_token)
+        g_localid = np.arange(num_groups, dtype=np.int64) - g_bounds[g_rank]
+        g_sleader = leader_of[g_rank]
+        hops = [
+            self._hop(
+                0, g_rank, g_sleader,
+                _split(rep_row[o_hA], g_bounds),
+                _split(g_localid[o_hA], g_bounds),
+                per_node=True,
+            )
         ]
         hA_pos = np.empty(num_groups, dtype=np.int64)
         hA_pos[o_hA] = np.arange(num_groups, dtype=np.int64) - g_bounds[g_rank[o_hA]]
-        hA_send_splits = []
-        for r in range(size):
-            send = np.zeros(int(self.node_group_size[r]), dtype=np.int64)
-            send[0] = g_counts[r]
-            hA_send_splits.append(send)
-        hA_recv_splits: list[np.ndarray] = [None] * size  # type: ignore[list-item]
         member_offset = np.zeros(size, dtype=np.int64)
         for members in self.node_members:
-            member_offset[members] = np.concatenate(
-                [[0], np.cumsum(g_counts[members])[:-1]]
-            )
-            hA_recv_splits[int(members[0])] = g_counts[members].astype(np.int64)
-            for m in members[1:]:
-                hA_recv_splits[int(m)] = np.zeros(members.size, dtype=np.int64)
+            member_offset[members] = np.cumsum(g_counts[members]) - g_counts[members]
         # Slot of each group in its source-node leader's hop-A buffer.
         a_pos = member_offset[g_rank] + hA_pos
 
         # ---- hop B: one leader-to-leader exchange -------------------
-        g_sleader = leader_of[g_rank]
-        g_dleader = node_leader[g_node]
+        g_dleader = self.node_leader[g_node]
         max_a = int(a_pos.max(initial=0)) + 1
         o_hB = _argsort_key((g_sleader * size + g_dleader) * max_a + a_pos)
-        sl_counts = np.bincount(g_sleader, minlength=size)
-        sl_bounds = np.concatenate([[0], np.cumsum(sl_counts)])
-        hB_all = a_pos[o_hB]
-        hB_perm = [hB_all[sl_bounds[r] : sl_bounds[r + 1]] for r in range(size)]
-        hB_mat = np.bincount(
-            g_sleader * size + g_dleader, minlength=size * size
-        ).reshape(size, size)
-        hB_send_splits = [hB_mat[r] for r in range(size)]
-        hB_recv_splits = [hB_mat[:, r].copy() for r in range(size)]
+        hB_perm = _split(a_pos[o_hB], _bounds(np.bincount(g_sleader, minlength=size)))
+        hops.append(self._hop(1, g_sleader, g_dleader, hB_perm, hB_perm))
         # Slot of each group in its dest-node leader's hop-B arrival buffer
         # (chunks concatenate in source-leader rank order).
         o_arrB = _argsort_key((g_dleader * size + g_sleader) * max_a + a_pos)
-        dl_bounds = np.concatenate([[0], np.cumsum(np.bincount(g_dleader, minlength=size))])
+        dl_bounds = _bounds(np.bincount(g_dleader, minlength=size))
         b_pos = np.empty(num_groups, dtype=np.int64)
         b_pos[o_arrB] = np.arange(num_groups, dtype=np.int64) - dl_bounds[g_dleader[o_arrB]]
 
@@ -695,146 +601,39 @@ class HierarchicalPlanner(_PlannerBase):
         # Send order is (dest member, src rank, token, expert): members get
         # contiguous chunks and each chunk matches the destination's
         # arrival-table order below.
-        sub = (rank_all * max_tok + token_all) * num_experts + expert_all
+        dleader_all = leader_of[a.dest]
+        sub = (a.rank * a.max_tok + a.token) * num_experts + a.expert
         max_sub = int(sub.max(initial=0)) + 1
-        o_hC = _argsort_key((dleader_all * mm + dmember_all) * max_sub + sub)
-        cl_counts = np.bincount(dleader_all, minlength=size)
-        cl_bounds = np.concatenate([[0], np.cumsum(cl_counts)])
-        hC_all = b_pos[inv[o_hC]]
-        hC_gather = [hC_all[cl_bounds[r] : cl_bounds[r + 1]] for r in range(size)]
-        hC_mat = np.bincount(
-            dleader_all * mm + dmember_all, minlength=size * mm
-        ).reshape(size, mm)
-        hC_send_splits = [
-            hC_mat[r, : int(self.node_group_size[r])] for r in range(size)
-        ]
-        n_dest = np.bincount(dest_all, minlength=size)
-        hC_recv_splits = []
-        for r in range(size):
-            recv = np.zeros(int(self.node_group_size[r]), dtype=np.int64)
-            recv[0] = n_dest[r]  # everything arrives from the leader
-            hC_recv_splits.append(recv)
+        o_hC = _argsort_key(
+            (dleader_all * mm + self.member_index[a.dest]) * max_sub + sub
+        )
+        cl_bounds = _bounds(np.bincount(dleader_all, minlength=size))
+        # The reversed hop returns each leader its hop-C send order.
+        # Folding those rows onto hop-B slots sorted by (slot, expert) sums
+        # every (token, node) group in ascending expert order, the flat
+        # oracle's association order.
+        posC = np.empty(total, dtype=np.int64)
+        posC[o_hC] = np.arange(total, dtype=np.int64) - cl_bounds[dleader_all[o_hC]]
+        slot_b = b_pos[inv]
+        max_b = int(b_pos.max(initial=0)) + 1
+        o_fold = _argsort_key((dleader_all * max_b + slot_b) * num_experts + a.expert)
+        hops.append(
+            self._hop(
+                2, dleader_all, a.dest,
+                _split(slot_b[o_hC], cl_bounds),
+                _split(slot_b[o_fold], cl_bounds),
+                _split(posC[o_fold], cl_bounds),
+                per_node=True,
+            )
+        )
+        moves = [(g_rank, g_sleader), (g_sleader, g_dleader), (dleader_all, a.dest)]
 
         # ---- arrival tables -----------------------------------------
         # Arrival order at destination d is (src rank, token, expert) —
         # the order hop C delivers.
-        o_arr = _argsort_key(dest_all * max_sub + sub)
-        d_bounds = np.concatenate([[0], np.cumsum(n_dest)])
-        arr_src_g, arr_row_g = rank_all[o_arr], row_all[o_arr]
-        arr_expert_g, arr_weight_g = expert_all[o_arr], weight_all[o_arr]
-        arrival_src = [arr_src_g[d_bounds[d] : d_bounds[d + 1]] for d in range(size)]
-        arrival_row = [arr_row_g[d_bounds[d] : d_bounds[d + 1]] for d in range(size)]
-        arrival_expert = [
-            arr_expert_g[d_bounds[d] : d_bounds[d + 1]] for d in range(size)
-        ]
-        arrival_weight = [
-            arr_weight_g[d_bounds[d] : d_bounds[d + 1]] for d in range(size)
-        ]
-
-        # ---- canonical expert grouping ------------------------------
-        # Same total-order key as the flat planner — this is what makes the
-        # expert input buffers (and hence the outputs) bit-identical.
-        t_dest = np.repeat(np.arange(size, dtype=np.int64), n_dest)
-        t_local = np.arange(total, dtype=np.int64) - d_bounds[t_dest]
-        canon_key = (
-            (t_dest * num_experts + arr_expert_g) * size + arr_src_g
-        ) * max_rows + arr_row_g
-        o_canon = _argsort_key(canon_key)
-        canon_sorted = t_local[o_canon]
-        sort_order = [
-            canon_sorted[d_bounds[d] : d_bounds[d + 1]] for d in range(size)
-        ]
-        expert_counts = np.bincount(
-            t_dest * num_experts + arr_expert_g, minlength=size * num_experts
-        ).reshape(size, num_experts)
-        tokens_per_local_expert = [
-            expert_counts[d][self._experts_by_rank[d]] for d in range(size)
-        ]
-
-        # ---- combine-side leader fold -------------------------------
-        # The reverse-hop-C buffer at each leader is the member-order
-        # concatenation of full weighted buffers — i.e. exactly hop-C send
-        # order.  Folding its rows onto hop-B slots sorted by (slot,
-        # expert) sums every (token, node) group in ascending expert order,
-        # the flat oracle's association order.
-        posC = np.empty(total, dtype=np.int64)
-        posC[o_hC] = np.arange(total, dtype=np.int64) - cl_bounds[dleader_all[o_hC]]
-        slot_a = b_pos[inv]
-        max_b = int(b_pos.max(initial=0)) + 1
-        o_fold = _argsort_key((dleader_all * max_b + slot_a) * num_experts + expert_all)
-        fold_perm_all, fold_slot_all = posC[o_fold], slot_a[o_fold]
-        hM_fold_perm = [
-            fold_perm_all[cl_bounds[r] : cl_bounds[r + 1]] for r in range(size)
-        ]
-        hM_fold_slot = [
-            fold_slot_all[cl_bounds[r] : cl_bounds[r + 1]] for r in range(size)
-        ]
-
-        # ---- source-side combine ------------------------------------
-        # One returned row per (token, node) group, delivered in hop-A send
-        # order; ``combine_partial`` reorders it into group-id order and
-        # the token fold then matches flat exactly.
-        combine_partial = [
-            g_localid[o_hA][g_bounds[r] : g_bounds[r + 1]] for r in range(size)
-        ]
-        partial_token = [g_token[g_bounds[r] : g_bounds[r + 1]] for r in range(size)]
-        empty_i = np.zeros(0, dtype=np.int64)
-
-        # ---- statistics ---------------------------------------------
-        src_node_all = self.rank_to_node[rank_all]
-        cross_all = int((dnode_all != src_node_all).sum())
-        cross_groups = int((g_node != self.rank_to_node[g_rank]).sum())
-        rows_by_tier = _rows_by_tier(
-            np.concatenate(
-                [
-                    self.tier_matrix[g_rank, g_sleader],  # hop A
-                    self.tier_matrix[g_sleader, g_dleader],  # hop B
-                    self.tier_matrix[dleader_all, dest_all],  # hop C
-                ]
-            )
+        arrivals = self._arrivals(
+            a, _argsort_key(a.dest * max_sub + sub), np.bincount(a.dest, minlength=size)
         )
-
-        zero_node_splits = [
-            np.zeros(int(self.node_group_size[r]), dtype=np.int64) for r in range(size)
-        ]
-        return DispatchPlan(
-            kind=self.kind,
-            size=size,
-            num_experts=num_experts,
-            num_nodes=num_nodes,
-            expert_to_rank=self.expert_to_rank,
-            rank_to_node=self.rank_to_node,
-            pfts=list(pfts),
-            send_rows=hA_send_rows,
-            send_splits=hB_send_splits,
-            recv_splits=hB_recv_splits,
-            arrival_src=arrival_src,
-            arrival_row=arrival_row,
-            arrival_expert=arrival_expert,
-            arrival_weight=arrival_weight,
-            num_pilot_arrivals=[int(n) for n in n_dest],
-            sort_order=sort_order,
-            tokens_per_local_expert=tokens_per_local_expert,
-            node_members=self.node_members,
-            s2_source_slot=[empty_i] * size,
-            s2_send_splits=zero_node_splits,
-            s2_recv_splits=list(zero_node_splits),
-            merge_slot=[empty_i] * size,
-            merge_perm=[empty_i] * size,
-            combine_partial=combine_partial,
-            combine_perm=[empty_i] * size,
-            partial_token=partial_token,
-            hA_send_splits=hA_send_splits,
-            hA_recv_splits=hA_recv_splits,
-            hB_perm=hB_perm,
-            hC_gather=hC_gather,
-            hC_send_splits=hC_send_splits,
-            hC_recv_splits=hC_recv_splits,
-            hM_fold_perm=hM_fold_perm,
-            hM_fold_slot=hM_fold_slot,
-            total_assignments=total,
-            total_pilots=num_groups,
-            cross_node_assignments=cross_all,
-            cross_node_pilots=cross_groups,
-            dispatch_rows_by_tier=rows_by_tier,
+        return self._plan(
+            a, pfts, hops, moves, arrivals, _split(g_token, g_bounds)
         )

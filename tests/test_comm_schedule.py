@@ -7,7 +7,8 @@ its splits.  The contract checked here is that the derived list equals —
 dataclass ``==``, same order — what the engine records when it executes the
 same plan, for every router policy and dispatch kind over random
 topologies, including zero-token ranks, ragged batches and fewer experts
-than ranks.
+than ranks — on which every plan also passes its own hop-by-hop
+``validate()``.
 """
 
 import numpy as np
@@ -67,6 +68,7 @@ def test_priced_schedule_equals_engine_events(
         group, num_experts, kind=kind, expert_to_rank=expert_to_rank, seed=seed
     )
     plan = dispatcher.plan(pfts, step=0)
+    plan.validate()
     expert_inputs, _ = dispatcher.dispatch(tokens, pfts, plan=plan)
     dispatcher.combine(expert_inputs, plan, [int(n) for n in sizes])
 

@@ -20,6 +20,17 @@ REPO = Path(__file__).resolve().parents[1]
     ids=lambda args: Path(args[0]).stem,
 )
 def test_example_exits_cleanly(script):
+    run_example(script)
+
+
+def test_rbd_dispatch_demo_matches_flat():
+    """The demo drives the interpreting engine over flat and RBD dispatch."""
+    result = run_example(["examples/rbd_dispatch_demo.py"])
+    assert "outputs bit-identical    : True" in result.stdout.splitlines()
+
+
+def run_example(script):
+    """Run one example script from the repo root; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
@@ -33,3 +44,4 @@ def test_example_exits_cleanly(script):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    return result

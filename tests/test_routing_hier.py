@@ -170,7 +170,7 @@ class TestHierOracle:
         plan_a = planner.build(pfts, step=0)
         plan_b = planner.build(pfts, step=99)
         for r in range(16):
-            np.testing.assert_array_equal(plan_a.send_rows[r], plan_b.send_rows[r])
+            np.testing.assert_array_equal(plan_a.hops[0].gather[r], plan_b.hops[0].gather[r])
 
 
 class TestTierAccounting:

@@ -65,17 +65,19 @@ class TestPlanConstruction:
         planner = RBDPlanner(group, 16, seed=3)
         plan = planner.build(pfts)
         size = group.size
+        pilots, replicas = plan.hops
+        num_pilot_arrivals = [int(n.sum()) for n in pilots.recv_splits]
         # Reference: replay the stage-1 sends per destination.
         slot_of = [{} for _ in range(size)]
         for d in range(size):
             for i, (s, row) in enumerate(zip(plan.arrival_src[d], plan.arrival_row[d])):
-                if i < plan.num_pilot_arrivals[d]:
+                if i < num_pilot_arrivals[d]:
                     slot_of[d][(int(s), int(row))] = i
         for p in range(size):
             # Every stage-2 source slot must point at a pilot arrival whose
             # replica rows (same token, same node) exist in the plan.
-            for slot in plan.s2_source_slot[p]:
-                assert 0 <= slot < plan.num_pilot_arrivals[p]
+            for slot in replicas.gather[p]:
+                assert 0 <= slot < num_pilot_arrivals[p]
                 src = int(plan.arrival_src[p][slot])
                 row = int(plan.arrival_row[p][slot])
                 assert slot_of[p][(src, row)] == int(slot)
@@ -160,17 +162,17 @@ class TestRBDDeterminism:
         plan_a = planner.build(pfts)
         plan_b = planner.build(pfts)
         for r in range(16):
-            np.testing.assert_array_equal(plan_a.send_rows[r], plan_b.send_rows[r])
+            np.testing.assert_array_equal(plan_a.hops[0].gather[r], plan_b.hops[0].gather[r])
         plan_c = planner.build(pfts, step=4)
         plan_d = planner.build(pfts, step=4)
         for r in range(16):
-            np.testing.assert_array_equal(plan_c.send_rows[r], plan_d.send_rows[r])
+            np.testing.assert_array_equal(plan_c.hops[0].gather[r], plan_d.hops[0].gather[r])
 
     def test_different_steps_decorrelate(self):
         world, group, w1, w2, tokens, pfts = build_world(16, 32, 8, 4, 6, 24, seed=37)
         planner = RBDPlanner(group, 32, seed=9)
         plans = [planner.build(pfts, step=s) for s in range(4)]
-        rows = [np.concatenate(p.send_rows) for p in plans]
+        rows = [np.concatenate(p.hops[0].gather) for p in plans]
         assert any(not np.array_equal(rows[0], r) for r in rows[1:])
         # Pilot *counts* are step-independent: one per (token, node) group.
         assert len({p.total_pilots for p in plans}) == 1
