@@ -135,9 +135,6 @@ class CommWorld:
         Number of simulated ranks.
     seed:
         Seed for the congestion sampler.
-    track_memory:
-        If True, collectives charge their receive buffers to the destination
-        rank's :class:`SimDevice` memory tracker.
     """
 
     def __init__(
@@ -146,7 +143,6 @@ class CommWorld:
         system: SystemSpec | None = None,
         *,
         seed: int | None = 0,
-        track_memory: bool = False,
     ):
         if system is None:
             needed_nodes = max(1, -(-num_ranks // 8))
@@ -157,7 +153,6 @@ class CommWorld:
         self.num_ranks = num_ranks
         self.devices = [SimDevice(r, system.node.gpu) for r in range(num_ranks)]
         self.stats = CommStats()
-        self.track_memory = track_memory
 
     def group(self, ranks) -> "ProcessGroup":
         """Create a process group over the given global ranks."""
@@ -258,13 +253,6 @@ class ProcessGroup:
         traffic = splits_mat * np.asarray(row_bytes, dtype=np.float64).reshape(-1, 1)
         estimate = self.world.network.alltoall_time(traffic, ranks)
         return self._event(op_name, traffic, estimate, ranks.tolist())
-
-    def _charge_memory(self, local_rank: int, tag: str, arrays) -> None:
-        if not self.world.track_memory:
-            return
-        device = self.world.devices[self.ranks[local_rank]]
-        nbytes = sum(int(a.nbytes) for a in arrays)
-        device.alloc(tag, nbytes)
 
     # ------------------------------------------------------------------
     @_comm_span("alltoall")

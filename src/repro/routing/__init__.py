@@ -43,9 +43,8 @@ front of their experts", split into two orthogonal layers:
     (:mod:`repro.routing.plan_cache`)
     :class:`PlanCache` fingerprints each step's assignment multiset
     (order-insensitive digests over the stacked decision arrays) and
-    resolves it against a bounded LRU: exact hit, weight-only patch,
-    incremental structural patch, or cold build — every tier bit-identical
-    to building from scratch.  Every entry compiles, before it first
+    resolves it against a bounded LRU: exact hit, weight-only patch, or
+    cold build — every tier bit-identical to building from scratch.  Every entry compiles, before it first
     runs, to a fused :class:`ExecProgram` that replaces the engine's
     dispatch + combine with whole-array gathers and strided folds and
     prices its collectives from ``DispatchPlan.comm_schedule()``; wire it

@@ -248,12 +248,13 @@ class PlanDispatcher:
         dtype = per_rank_expert_outputs[0].dtype
 
         # Undo the by-expert sort and apply the combine weights (the paper
-        # scales before merging so replicas can sum onto their pilot).
+        # scales before merging so replicas can sum onto their pilot); the
+        # weighted rows stay in the payload dtype, as the fused fold's do.
         bufs: list[np.ndarray] = []
         for d in range(size):
             un = np.empty_like(per_rank_expert_outputs[d])
             un[plan.sort_order[d]] = per_rank_expert_outputs[d]
-            bufs.append(un * plan.arrival_weight[d][:, None])
+            bufs.append((un * plan.arrival_weight[d][:, None]).astype(dtype, copy=False))
 
         for hop in reversed(plan.hops):
             # An append hop's buffer ends with the rows it received; only

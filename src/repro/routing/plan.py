@@ -162,14 +162,20 @@ class DispatchPlan:
         return int(sum(g.size for g in self.hops[0].gather))
 
     def stats_dict(self, row_bytes: int) -> dict[str, float]:
-        """Pilot/replica counts, redundancy and stage bytes of this plan."""
+        """Pilot/replica counts, redundancy and stage bytes of this plan.
+
+        Stage 1 is what the first hop moves, stage 2 what every later hop
+        moves (self-sends included), so the two stages add up to the
+        dispatch payload of every kind.
+        """
+        rows = [sum(int(s.sum()) for s in hop.send_splits) for hop in self.hops]
         return {
             "total_assignments": float(self.total_assignments),
             "pilots": float(self.total_pilots),
             "replicas": float(self.num_replicas),
             "redundancy_rate": self.redundancy,
-            "stage1_bytes": float(self.total_pilots * row_bytes),
-            "stage2_bytes": float(self.num_replicas * row_bytes),
+            "stage1_bytes": float(rows[0] * row_bytes),
+            "stage2_bytes": float(sum(rows[1:]) * row_bytes),
         }
 
     def hop_members(self, hop: Hop) -> list[np.ndarray]:

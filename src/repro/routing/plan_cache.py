@@ -1,4 +1,4 @@
-"""Plan caching + incremental replanning for the dispatch pipeline.
+"""Plan caching + weight-only replanning for the dispatch pipeline.
 
 Between consecutive training steps the routing assignment multiset is
 usually nearly identical, yet the pipeline recompiles a full
@@ -31,14 +31,8 @@ cheap without changing a single output bit:
      invariant (weights can only change *structure* through the capacity
      rule, so any rank whose densest (rank, expert) segment could overflow
      falls through);
-  3. **incremental structural patch** — a small fraction of assignments
-     re-routed: unchanged ranks keep their PFTs (weights re-gathered),
-     changed ranks rebuild via ``RoutingDecision.to_pft`` (the batched
-     builder with one rank, so bit-identical to a cold build), and
-     the plan recompiles from the patched tables through the planner's own
-     compile path — bit-identity by construction, never by re-derivation;
-  4. **cold build** — the exact fallback whenever the delta is large or
-     any invariant cannot be preserved.
+  3. **cold build** — everything else: the batched PFT builder and the
+     planner, exactly as a cache-less step runs them.
 
 * :class:`ExecProgram` — a kind-independent fused step executor, compiled
   once per cache entry *before* the entry first executes: what a plan
@@ -59,7 +53,7 @@ cheap without changing a single output bit:
   which is what lets one executor serve all three bit-identically.
 
 Wiring lives in :class:`repro.runtime.StepRuntime` (``plan_cache=``);
-hit/miss/patch counters surface on
+hit/weight-patch/miss counters surface on
 :class:`~repro.runtime.step.StepTrace` and
 :class:`~repro.routing.telemetry.RoutingTelemetry`, and the measured
 hit-rate feeds :mod:`repro.tuner.calibration` so the tuner prices
@@ -69,7 +63,7 @@ steady-state workloads honestly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -462,8 +456,6 @@ class _CacheEntry:
     pfts: list
     plan: DispatchPlan
     exec_program: ExecProgram | None
-    kept_sorted_keys: np.ndarray
-    seg_max_per_rank: np.ndarray
     pft_stack_idx: np.ndarray | None  # stacked-signature index per PFT row
     pft_row_offsets: np.ndarray | None
     arrival_stack_idx: list | None  # per dest: stacked index per arrival slot
@@ -474,12 +466,11 @@ class Resolution:
     """What one :meth:`PlanCache.resolve` call produced.
 
     ``outcome`` is ``"hit"`` (exact reuse), ``"weight_patch"`` (same
-    structure, re-gathered weights), ``"patch"`` (incremental structural
-    patch + recompile), or ``"miss"`` (cold build).  ``exec_program`` is
-    ``None`` while the entry's fused executor has not been compiled: a
-    fresh (miss / patch) entry, or one only ever run through the engine
-    fallback.  The runtime compiles it (:meth:`PlanCache.attach_exec`)
-    before the step executes.
+    structure, re-gathered weights) or ``"miss"`` (cold build).
+    ``exec_program`` is ``None`` while the entry's fused executor has not
+    been compiled (a fresh miss, or a weight patch of such an entry); the
+    runtime compiles it (:meth:`PlanCache.attach_exec`) before the step
+    executes.
     """
 
     pfts: list
@@ -490,31 +481,24 @@ class Resolution:
 
 
 class PlanCache:
-    """Bounded LRU of dispatch plans with incremental replanning.
+    """Bounded LRU of dispatch plans with weight-only patching.
 
-    ``maxsize`` bounds the number of cached steps;
-    ``patch_threshold`` is the largest re-routed assignment fraction the
-    incremental structural patch accepts before falling back to a cold
-    build.  Counters (``hits`` / ``weight_patches`` / ``patches`` /
-    ``misses`` / ``evictions``) tally every resolution; ``stats()``
-    snapshots them.  Every cached or patched artifact is bit-identical to
-    a cold build — exact hits verify the stored arrays, weight patches
-    re-gather through index maps that are only built when the capacity
-    rule cannot reorder anything, and structural patches recompile through
-    the planner's own code path.
+    ``maxsize`` bounds the number of cached steps.  Counters (``hits`` /
+    ``weight_patches`` / ``misses`` / ``evictions``) tally every
+    resolution; ``stats()`` snapshots them.  Every cached or patched
+    artifact is bit-identical to a cold build — exact hits verify the
+    stored arrays, and weight patches re-gather through index maps that are
+    only built when the capacity rule cannot reorder anything.
     """
 
-    def __init__(self, maxsize: int = 8, patch_threshold: float = 0.15):
+    def __init__(self, maxsize: int = 8):
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
         self.maxsize = int(maxsize)
-        self.patch_threshold = float(patch_threshold)
         self._entries: OrderedDict[tuple, _CacheEntry] = OrderedDict()
         self._by_structure: dict[tuple, _CacheEntry] = {}
-        self._last_by_context: dict[tuple, _CacheEntry] = {}
         self.hits = 0
         self.weight_patches = 0
-        self.patches = 0
         self.misses = 0
         self.evictions = 0
 
@@ -522,7 +506,7 @@ class PlanCache:
     @property
     def lookups(self) -> int:
         """Total resolutions served."""
-        return self.hits + self.weight_patches + self.patches + self.misses
+        return self.hits + self.weight_patches + self.misses
 
     @property
     def hit_rate(self) -> float:
@@ -537,7 +521,6 @@ class PlanCache:
         return {
             "hits": self.hits,
             "weight_patches": self.weight_patches,
-            "patches": self.patches,
             "misses": self.misses,
             "evictions": self.evictions,
             "lookups": self.lookups,
@@ -577,7 +560,7 @@ class PlanCache:
         entry = self._entries.get(key)
         if entry is not None and entry.sig.matches(sig):
             self.hits += 1
-            self._touch(entry)
+            self._entries.move_to_end(key)
             return Resolution(entry.pfts, entry.plan, entry.exec_program, "hit", entry)
 
         source = self._by_structure.get(context + (sig.structure_digest,))
@@ -592,18 +575,6 @@ class PlanCache:
             return Resolution(
                 patched.pfts, patched.plan, patched.exec_program, "weight_patch", patched
             )
-
-        previous = self._last_by_context.get(context)
-        if previous is not None:
-            with obs.span("cache.structural_patch", "plan_cache") as patch_span:
-                pfts = self._structural_patch(previous, sig, decisions, capacity)
-                patch_span.set(patched=pfts is not None)
-            if pfts is not None:
-                with obs.span("cache.plan_build", "plan_cache"):
-                    plan = dispatcher.plan(pfts, step=step)
-                entry = self._store(key, context, sig, pfts, plan, capacity)
-                self.patches += 1
-                return Resolution(pfts, plan, None, "patch", entry)
 
         with obs.span("cache.cold_build", "plan_cache"):
             pfts = RoutingDecision.to_pfts(list(decisions), capacity)
@@ -664,30 +635,27 @@ class PlanCache:
             tuple(row_signature),
         )
 
-    def _touch(self, entry: _CacheEntry) -> None:
+    def _insert(self, entry: _CacheEntry) -> _CacheEntry:
+        """Index ``entry`` as most recent, then evict down to ``maxsize``."""
+        self._entries[entry.key] = entry
         self._entries.move_to_end(entry.key)
-        self._last_by_context[entry.context] = entry
+        self._by_structure[entry.context + (entry.sig.structure_digest,)] = entry
+        while len(self._entries) > self.maxsize:
+            self._forget(next(iter(self._entries.values())))
+            self.evictions += 1
+        return entry
 
     def _forget(self, entry: _CacheEntry) -> None:
-        """Remove ``entry`` from the LRU and both side indexes."""
+        """Remove ``entry`` from the LRU and the structure index."""
         if self._entries.get(entry.key) is entry:
             del self._entries[entry.key]
         skey = entry.context + (entry.sig.structure_digest,)
         if self._by_structure.get(skey) is entry:
             del self._by_structure[skey]
-        if self._last_by_context.get(entry.context) is entry:
-            del self._last_by_context[entry.context]
-
-    def _evict_to_bound(self) -> None:
-        while len(self._entries) > self.maxsize:
-            self._forget(next(iter(self._entries.values())))
-            self.evictions += 1
 
     # ------------------------------------------------------------------
     def _store(self, key, context, sig, pfts, plan, capacity) -> _CacheEntry:
-        kept = ~sig.dropped
-        kept_idx = np.flatnonzero(kept)
-        kept_keys = np.sort(sig.keys[kept_idx])
+        kept_idx = np.flatnonzero(~sig.dropped)
 
         num_ranks = len(pfts)
         num_experts = max(1, sig.num_experts)
@@ -695,19 +663,17 @@ class PlanCache:
             np.arange(num_ranks, dtype=np.int64), np.diff(sig.rank_offsets)
         )
         src_kept = rank_of[kept_idx]
-        seg = np.bincount(
-            src_kept * num_experts + sig.experts[kept_idx],
-            minlength=num_ranks * num_experts,
-        ).reshape(num_ranks, num_experts)
-        seg_max_per_rank = seg.max(axis=1) if num_ranks else np.zeros(0, np.int64)
+        # The densest (rank, expert) segment decides whether the capacity
+        # rule could have reordered or dropped anything.
+        seg_max = np.bincount(src_kept * num_experts + sig.experts[kept_idx]).max(
+            initial=0
+        )
 
         sizes = np.array([p.num_routed_tokens for p in pfts], dtype=np.int64)
         pft_row_offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
         pft_stack_idx = None
         arrival_stack_idx = None
-        capacity_safe = capacity is None or (
-            seg_max_per_rank.size == 0 or int(seg_max_per_rank.max()) <= int(capacity)
-        )
+        capacity_safe = capacity is None or int(seg_max) <= int(capacity)
         if capacity_safe and int(pft_row_offsets[-1]) == kept_idx.size:
             # PFT rows are the kept assignments sorted by (rank, expert,
             # token) — true exactly when the capacity rule dropped nothing,
@@ -723,25 +689,19 @@ class PlanCache:
                 for d in range(num_ranks)
             ]
 
-        entry = _CacheEntry(
-            key=key,
-            context=context,
-            sig=sig,
-            pfts=pfts,
-            plan=plan,
-            exec_program=None,
-            kept_sorted_keys=kept_keys,
-            seg_max_per_rank=seg_max_per_rank,
-            pft_stack_idx=pft_stack_idx,
-            pft_row_offsets=pft_row_offsets,
-            arrival_stack_idx=arrival_stack_idx,
+        return self._insert(
+            _CacheEntry(
+                key=key,
+                context=context,
+                sig=sig,
+                pfts=pfts,
+                plan=plan,
+                exec_program=None,
+                pft_stack_idx=pft_stack_idx,
+                pft_row_offsets=pft_row_offsets,
+                arrival_stack_idx=arrival_stack_idx,
+            )
         )
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        self._by_structure[context + (sig.structure_digest,)] = entry
-        self._last_by_context[context] = entry
-        self._evict_to_bound()
-        return entry
 
     # ------------------------------------------------------------------
     def _weight_patch(self, source, sig, key, context) -> _CacheEntry:
@@ -768,77 +728,14 @@ class PlanCache:
         if source.exec_program is not None:
             exec_program = source.exec_program.with_fold_weights(new_weights)
 
-        entry = _CacheEntry(
-            key=key,
-            context=context,
-            sig=sig,
-            pfts=pfts,
-            plan=plan,
-            exec_program=exec_program,
-            kept_sorted_keys=source.kept_sorted_keys,
-            seg_max_per_rank=source.seg_max_per_rank,
-            pft_stack_idx=source.pft_stack_idx,
-            pft_row_offsets=source.pft_row_offsets,
-            arrival_stack_idx=source.arrival_stack_idx,
-        )
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        self._by_structure[context + (sig.structure_digest,)] = entry
-        self._last_by_context[context] = entry
-        self._evict_to_bound()
-        return entry
-
-    # ------------------------------------------------------------------
-    def _structural_patch(self, previous, sig, decisions, capacity):
-        """Patch the previous step's PFT tables when few tokens re-routed.
-
-        Returns the patched per-rank PFT list, or ``None`` when the delta
-        exceeds the threshold (the caller falls back to a cold build).
-        Unchanged ranks keep their PFT structure (weights re-gathered from
-        the new scores); changed ranks rebuild through ``to_pft`` — the
-        batched builder a cold build runs, with one rank — so the patched
-        tables are bit-identical to a cold build by construction.
-        """
-        kept_idx = np.flatnonzero(~sig.dropped)
-        new_keys = np.sort(sig.keys[kept_idx])
-        old_keys = previous.kept_sorted_keys
-        bound = max(new_keys.size, old_keys.size, 1)
-        common = np.intersect1d(new_keys, old_keys, assume_unique=True).size
-        delta = (new_keys.size - common) + (old_keys.size - common)
-        if delta / bound > self.patch_threshold:
-            return None
-
-        prev_sig = previous.sig
-        if len(previous.pfts) != len(decisions):
-            return None
-        pfts = []
-        for r, decision in enumerate(decisions):
-            lo, hi = sig.rank_offsets[r], sig.rank_offsets[r + 1]
-            plo, phi = prev_sig.rank_offsets[r], prev_sig.rank_offsets[r + 1]
-            unchanged = (
-                hi - lo == phi - plo
-                and np.array_equal(sig.tokens[lo:hi], prev_sig.tokens[plo:phi])
-                and np.array_equal(sig.experts[lo:hi], prev_sig.experts[plo:phi])
-                and np.array_equal(sig.dropped[lo:hi], prev_sig.dropped[plo:phi])
+        return self._insert(
+            replace(
+                source,
+                key=key,
+                context=context,
+                sig=sig,
+                pfts=pfts,
+                plan=plan,
+                exec_program=exec_program,
             )
-            if unchanged and np.array_equal(
-                sig.scores[lo:hi], prev_sig.scores[plo:phi]
-            ):
-                pfts.append(previous.pfts[r])
-            elif unchanged and previous.pft_stack_idx is not None:
-                o0, o1 = previous.pft_row_offsets[r], previous.pft_row_offsets[r + 1]
-                local = previous.pft_stack_idx[o0:o1] - plo
-                prev_pft = previous.pfts[r]
-                pfts.append(
-                    PFT._trusted(
-                        prev_pft.token_ids,
-                        prev_pft.expert_ids,
-                        prev_pft.tokens_per_expert,
-                        sig.scores[lo + local],
-                        prev_pft.num_source_tokens,
-                        prev_pft.dropped_assignments,
-                    )
-                )
-            else:
-                pfts.append(decision.to_pft(capacity))
-        return pfts
+        )

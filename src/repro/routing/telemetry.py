@@ -305,7 +305,7 @@ class RoutingTelemetry:
         outcomes = self.plan_cache_outcomes
         if outcomes:
             out["plan_cache_hit_rate"] = round(self.plan_cache_hit_rate, 4)
-            for outcome in ("hit", "weight_patch", "patch", "miss"):
+            for outcome in ("hit", "weight_patch", "miss"):
                 out[f"plan_cache_{outcome}"] = outcomes.get(outcome, 0)
         return out
 

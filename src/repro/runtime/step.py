@@ -29,16 +29,14 @@ executed step emits one trace object to every registered hook.
 
 With a :class:`~repro.routing.plan_cache.PlanCache` attached
 (``plan_cache=``), the runtime skips the PFT build + plan compile on warm
-steps, and every step — miss or hit — runs *compile, then run fused*: the
-resolved entry's :class:`~repro.routing.plan_cache.ExecProgram` is
-compiled if it has none, then drives the whole dispatch/experts/combine
-back half through a handful of whole-array gathers and strided folds,
-bit-identical to the engine path (comm accounting is derived from the
-plan's splits, not captured from an execution).  The engine stays as the
-oracle — every ``plan_cache=None`` runtime — and as the fallback for
-payloads the fused program cannot serve (non-float64, or a world with
-memory tracking); a fallback is counted in the obs registry
-(``step_engine_fallback_total{reason}``) and named on the step span.
+steps, and every step — miss or hit, whatever the payload dtype — runs
+*compile, then run fused*: the resolved entry's
+:class:`~repro.routing.plan_cache.ExecProgram` is compiled if it has none,
+then drives the whole dispatch/experts/combine back half through a handful
+of whole-array gathers and strided folds, bit-identical to the engine path
+(comm accounting is derived from the plan's splits, not captured from an
+execution).  The engine is the oracle: every ``plan_cache=None`` runtime
+interprets the plan hop by hop.
 """
 
 from __future__ import annotations
@@ -146,7 +144,7 @@ class StepTrace:
     plan: object  # DispatchPlan
     seconds: float
     #: plan-cache resolution for this step ("hit" / "weight_patch" /
-    #: "patch" / "miss"), or None when the runtime has no cache attached.
+    #: "miss"), or None when the runtime has no cache attached.
     cache_outcome: str | None = None
     #: snapshot of the cache's cumulative counters after this step, plus
     #: the workspace's cumulative ``scratch_reuses`` / ``scratch_regrows``.
@@ -244,11 +242,10 @@ class StepRuntime:
     plan_cache:
         Optional :class:`~repro.routing.plan_cache.PlanCache`.  When given,
         each step's routing decisions are fingerprinted and resolved
-        through the cache (exact hit / weight patch / incremental patch /
-        cold build) instead of always rebuilding PFTs and the plan, and
-        every step the fused executor can serve compiles the entry's
-        program (if it has none yet) and runs it instead of the engine's
-        dispatch/combine — bit-identically.
+        through the cache (exact hit / weight patch / cold build) instead
+        of always rebuilding PFTs and the plan, and every step compiles the
+        entry's program (if it has none yet) and runs it instead of the
+        engine's dispatch/combine — bit-identically.
     """
 
     def __init__(
@@ -349,8 +346,7 @@ class StepRuntime:
                     resolve_span.set(cache_tier=resolution.outcome)
                 pfts, plan = resolution.pfts, resolution.plan
 
-            fallback = None if resolution is None else self._engine_fallback(arrays)
-            fused = resolution is not None and fallback is None
+            fused = resolution is not None
             if fused:
                 program = resolution.exec_program
                 first_run = program is None
@@ -367,13 +363,6 @@ class StepRuntime:
                         program, arrays, plan, tokens_per_rank, first_run
                     )
             else:
-                if fallback is not None:
-                    step_span.set(engine_fallback=fallback)
-                    registry = self.dispatcher.group.world.stats.metrics
-                    if registry is not None:
-                        registry.counter(
-                            "step_engine_fallback_total", "reason"
-                        ).labels(reason=fallback).inc()
                 with obs.span("dispatch", "step"):
                     expert_inputs, _ = self.dispatcher.dispatch(
                         arrays, pfts, plan=plan, step=step
@@ -442,22 +431,6 @@ class StepRuntime:
         )
 
     # ------------------------------------------------------------------
-    def _engine_fallback(self, arrays: list[np.ndarray]) -> str | None:
-        """Why this step cannot run the fused program (``None``: it can).
-
-        The fused path gathers float64 rows verbatim and derives its comm
-        accounting from the plan's splits, so it requires a float64 payload
-        (routing's internal dtype — anything else would change what the
-        engine dispatches; reason ``"dtype"``) and a world without memory
-        tracking (derived events do not charge simulated device buffers;
-        reason ``"track_memory"``).
-        """
-        if not all(a.dtype == np.float64 for a in arrays):
-            return "dtype"
-        if self.dispatcher.group.world.track_memory:
-            return "track_memory"
-        return None
-
     def _run_experts(self, expert_inputs: list[np.ndarray], plan) -> list[np.ndarray]:
         """The grouped expert GEMMs, or identity experts without weights."""
         if self.expert_weights is None:
@@ -473,22 +446,24 @@ class StepRuntime:
         """The step's ``(total_tokens, hidden)`` stack for the fused gather.
 
         When this step's batched route just filled the workspace's stacked
-        hidden buffer (shipped policies with uniform batches), that buffer
-        *is* the stack and is reused as-is; otherwise the rows are
-        concatenated into a scratch arena.
+        hidden buffer (shipped policies with uniform batches) and the
+        payload is float64 like that buffer, it *is* the stack and is
+        reused as-is; otherwise the rows are concatenated into a scratch
+        arena of the payload dtype, so expert inputs keep that dtype.
         """
         rows = sum(int(a.shape[0]) for a in arrays)
-        cols = int(arrays[0].shape[1])
+        cols, dtype = int(arrays[0].shape[1]), arrays[0].dtype
         uniform = all(a.shape[0] == arrays[0].shape[0] for a in arrays)
         hidden = self.workspace._hidden
         if (
             uniform
             and hidden is not None
             and hidden.shape == (rows, cols)
+            and hidden.dtype == dtype
             and type(self.policy).route_batch is _PolicyBase.route_batch
         ):
             return hidden
-        stacked = self.workspace.scratch("fused_stacked_tokens", (rows, cols))
+        stacked = self.workspace.scratch("fused_stacked_tokens", (rows, cols), dtype)
         np.concatenate(arrays, axis=0, out=stacked)
         return stacked
 

@@ -5,14 +5,15 @@ with a :class:`PlanCache` attached produces *bit-identical* outputs,
 expert inputs, and PFTs to a cache-less runtime — for every router policy,
 every dispatch kind, and randomized reroute fractions from 0% (exact hits
 and weight patches) through 100% (cold rebuilds), including zero-token
-ranks and ragged batches.  Plus the cache's own behavior: the four-tier
+ranks and ragged batches.  Plus the cache's own behavior: the three-tier
 resolution outcomes, LRU bounding and eviction hygiene, order-insensitive
 fingerprints, trace/telemetry plumbing, and the calibration satellite
 (warn-and-skip on malformed records, hit-rate-discounted plan pricing).
-Every cached step runs compile-then-fused, so the suite also holds the
-fused path to the engine's comm accounting (``CommStats.events`` equal on
-every tier), counts its engine fallbacks, and injects faults mid-step to
-check an aborted step leaves no residue.
+Every cached step runs compile-then-fused, whatever the payload dtype, so
+the suite also holds the fused path to the engine's comm accounting
+(``CommStats.events`` equal on every tier) for float64, float32 and
+float16 payloads, and injects faults mid-step to check an aborted step
+leaves no residue.
 """
 
 import json
@@ -22,7 +23,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm import CommWorld
-from repro.obs import MetricsRegistry, Tracer, use_tracer
 from repro.routing import (
     ROUTER_POLICY_NAMES,
     PlanCache,
@@ -55,12 +55,11 @@ def _policy_and_batches(name, *, num_ranks, tokens, hidden, experts, top_k, seed
 
 def _runtime_pair(
     policy, kind, num_ranks, experts, *, capacity=None, seed=0, expert_weights=None,
-    track_memory=False,
 ):
     """A cached runtime and a cache-less one over twin worlds."""
     runtimes = []
     for cache in (PlanCache(), None):
-        world = CommWorld(num_ranks=num_ranks, track_memory=track_memory)
+        world = CommWorld(num_ranks=num_ranks)
         dispatcher = make_dispatcher(
             world.world_group(), experts, kind=kind, seed=seed
         )
@@ -135,9 +134,7 @@ class TestCachedStepEquivalence:
             warm_result = warm.run_step([b.copy() for b in batches], step=0)
             cold_result = cold.run_step([b.copy() for b in batches], step=0)
             _assert_step_equal(warm_result, cold_result, context)
-            assert warm_result.trace.cache_outcome in (
-                "hit", "weight_patch", "patch", "miss",
-            )
+            assert warm_result.trace.cache_outcome in ("hit", "weight_patch", "miss")
             assert cold_result.trace.cache_outcome is None
             batches = _perturb(base, rng, fraction)
         # repeating the very first batch must be an exact hit
@@ -193,7 +190,7 @@ class TestPlanCacheMechanics:
         assert outcomes[0] == "miss"
         assert outcomes[1] == "hit"
         assert outcomes[2] == "weight_patch"
-        assert outcomes[3] == "patch"
+        assert outcomes[3] == "miss"  # one token re-routed: a cold build
         assert outcomes[4] == "miss"
         stats = warm.plan_cache.stats()
         assert stats["lookups"] == 5
@@ -210,7 +207,6 @@ class TestPlanCacheMechanics:
         assert cache.evictions >= 4
         # auxiliary indexes must not leak evicted entries
         assert len(cache._by_structure) <= 2
-        assert len(cache._last_by_context) <= 2
 
     def test_maxsize_validation(self):
         with pytest.raises(ValueError, match="maxsize"):
@@ -323,7 +319,7 @@ class TestCacheTelemetry:
 class TestCachedCommEvents:
     @pytest.mark.parametrize("kind", KINDS)
     def test_events_equal_cacheless_on_every_tier(self, kind):
-        """Miss, hit, weight patch and structural patch all account alike."""
+        """Miss, hit, weight patch and a re-routed miss all account alike."""
         num_ranks, experts = 16, 16  # two nodes: real inter-node traffic
         policy, base = _policy_and_batches(
             "softmax-topk", num_ranks=num_ranks, tokens=12, hidden=8,
@@ -344,60 +340,53 @@ class TestCachedCommEvents:
             assert _stats(warm).events, "a two-node step must record collectives"
             _stats(warm).clear()
             _stats(cold).clear()
-        assert outcomes == ["miss", "hit", "weight_patch", "patch"]
+        assert outcomes == ["miss", "hit", "weight_patch", "miss"]
 
 
 # ----------------------------------------------------------------------
-# Engine fallback: counted and named, never silent
+# Low-precision payloads: every cached step still runs fused
 # ----------------------------------------------------------------------
-class TestEngineFallback:
-    def _pair(self, **kwargs):
+class TestEveryCachedStepRunsFused:
+    @pytest.mark.parametrize("experts", ["identity", "gemm"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_low_precision_payload_matches_cacheless(self, dtype, kind, experts):
+        """Miss, hit and weight patch: fused, same bits, dtypes and comm."""
+        num_ranks, num_experts, hidden = 16, 16, 8  # two nodes
         policy, base = _policy_and_batches(
-            "softmax-topk", num_ranks=4, tokens=8, hidden=8, experts=8,
-            top_k=2, seed=2,
+            "softmax-topk", num_ranks=num_ranks, tokens=12, hidden=hidden,
+            experts=num_experts, top_k=2, seed=3,
         )
-        warm, cold = _runtime_pair(policy, "rbd", 4, 8, seed=2, **kwargs)
-        registry = MetricsRegistry()
-        _stats(warm).metrics = registry
-        return warm, cold, base, registry
-
-    @staticmethod
-    def _fallbacks(registry):
-        return registry.snapshot().get("step_engine_fallback_total", {}).get("series", {})
-
-    def test_non_f64_payload_falls_back_with_reason(self):
-        warm, cold, base, registry = self._pair()
-        payload = [b.astype(np.float32) for b in base]
-        tracer = Tracer()
-        with use_tracer(tracer):
-            results = [warm.run_step(payload, step=0) for _ in range(2)]
-        assert [r.trace.fused for r in results] == [False, False]
-        assert self._fallbacks(registry) == {"reason=dtype": 2.0}
-        assert [s.attrs["engine_fallback"] for s in tracer.named("step")] == ["dtype"] * 2
-        _assert_step_equal(results[-1], cold.run_step(payload, step=0), "f32 fallback")
-        # The same runtime still fuses float64 payloads, uncounted.
-        assert warm.run_step(base, step=0).trace.fused
-        assert self._fallbacks(registry) == {"reason=dtype": 2.0}
-
-    def test_memory_tracking_world_falls_back_with_reason(self):
-        warm, cold, base, registry = self._pair(track_memory=True)
-        tracer = Tracer()
-        with use_tracer(tracer):
-            result = warm.run_step(base, step=0)
-        assert not result.trace.fused
-        assert self._fallbacks(registry) == {"reason=track_memory": 1.0}
-        assert tracer.named("step")[0].attrs["engine_fallback"] == "track_memory"
-        _assert_step_equal(result, cold.run_step(base, step=0), "track_memory fallback")
-
-    def test_cacheless_runtime_is_not_a_fallback(self):
-        _, cold, base, _ = self._pair()
-        registry = MetricsRegistry()
-        _stats(cold).metrics = registry
-        tracer = Tracer()
-        with use_tracer(tracer):
-            cold.run_step(base, step=0)
-        assert self._fallbacks(registry) == {}
-        assert "engine_fallback" not in tracer.named("step")[0].attrs
+        weights = None
+        if experts == "gemm":
+            rng = np.random.default_rng(4)
+            local = num_experts // num_ranks
+            weights = (
+                [rng.normal(0, 0.1, (local, hidden, 4)) for _ in range(num_ranks)],
+                [rng.normal(0, 0.1, (local, 4, hidden)) for _ in range(num_ranks)],
+            )
+        warm, cold = _runtime_pair(
+            policy, kind, num_ranks, num_experts, seed=3, expert_weights=weights
+        )
+        payload = [b.astype(dtype) for b in base]
+        nudged = [b.copy() for b in payload]  # one ulp: scores drift, routes hold
+        nudged[0][0] = np.nextafter(nudged[0][0], dtype(np.inf))
+        outcomes = []
+        for arrs in (payload, payload, nudged):
+            warm_result = warm.run_step([b.copy() for b in arrs], step=0)
+            cold_result = cold.run_step([b.copy() for b in arrs], step=0)
+            outcomes.append(warm_result.trace.cache_outcome)
+            assert warm_result.trace.fused, outcomes[-1]
+            _assert_step_equal(warm_result, cold_result, outcomes[-1])
+            for a, b in zip(
+                warm_result.outputs + warm_result.expert_inputs,
+                cold_result.outputs + cold_result.expert_inputs,
+            ):
+                assert a.dtype == b.dtype == dtype, outcomes[-1]
+            assert _stats(warm).events == _stats(cold).events, outcomes[-1]
+            _stats(warm).clear()
+            _stats(cold).clear()
+        assert outcomes == ["miss", "hit", "weight_patch"]
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +470,7 @@ class TestAbortedStepLeavesNoResidue:
         monkeypatch.undo()
 
         cache = faulted.plan_cache
-        assert len(cache) == 0 and not cache._by_structure and not cache._last_by_context
+        assert len(cache) == 0 and not cache._by_structure
         self._assert_recovered(faulted, clean, oracle, base, "miss")
 
 
