@@ -10,7 +10,8 @@ Run:  python examples/plan_545b_on_frontier.py
 
 from repro.cluster import Topology
 from repro.config import ParallelConfig, frontier_system, paper_config
-from repro.xmoe import plan_placement, sweep_best_config
+from repro.tuner import sweep_best_config
+from repro.xmoe import plan_placement
 from repro.xmoe.memory_model import MoEMemoryModel, SystemKind
 
 
@@ -25,18 +26,21 @@ def main():
     print("Sweeping EP, TP, and ZeRO stage for each training system:")
     for kind in (SystemKind.DEEPSPEED_MOE, SystemKind.DEEPSPEED_TED, SystemKind.TUTEL, SystemKind.XMOE):
         result = sweep_best_config(model, 1024, kind, system)
-        print("  " + result.describe())
+        status = f"{result.tflops_per_gpu:.1f} TFLOPs/GPU" if result.feasible else "OOM"
+        print(f"  {kind.value:>14s} | {model.name:>8s} | {result.candidate.parallel.describe()} | "
+              f"mem={result.peak_memory_gb:.1f} GB | {status}")
 
     best = sweep_best_config(model, 1024, SystemKind.XMOE, system)
-    if not best.oom:
+    if best.feasible:
+        parallel = best.candidate.parallel
         print("\nBest X-MoE configuration:")
-        print(f"  {best.parallel.describe()}")
+        print(f"  {parallel.describe()}")
         print(f"  peak memory per GCD : {best.peak_memory_gb:.1f} GB (of 64 GB)")
-        print(f"  iteration time      : {best.iteration_seconds:.1f} s")
+        print(f"  iteration time      : {best.step_seconds:.1f} s")
         print(f"  throughput          : {best.tflops_per_gpu:.1f} TFLOPs/GPU "
               f"({best.aggregated_pflops:.2f} PFLOPs aggregate)")
 
-        memory = MoEMemoryModel(model, best.parallel, system.node.gpu)
+        memory = MoEMemoryModel(model, parallel, system.node.gpu)
         layer = memory.moe_layer_activations(SystemKind.XMOE)
         print("\nPer-MoE-layer activation breakdown (per device):")
         for name, value in layer.as_dict().items():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-sync check: the docs must keep up with the code.
 
-Three invariants, all enforced in CI (and by ``tests/test_doc_sync.py``):
+Five invariants, all enforced in CI (and by ``tests/test_doc_sync.py``):
 
 1. **Experiment index coverage** — every ``benchmarks/test_*.py`` file must
    appear in DESIGN.md's experiment index, so a new benchmark cannot land
@@ -20,6 +20,9 @@ Three invariants, all enforced in CI (and by ``tests/test_doc_sync.py``):
    ``src/`` whose body (or a base class's) defines ``member`` by a ``def``
    or an assignment, so deleting or renaming a class or method fails until
    the docs follow.
+5. **Example coverage** — every ``examples/*.py`` script must be named in
+   ``tests/test_examples.py``, so an example cannot drift out of the tier-1
+   run and break unnoticed.
 
 One advisory check **warns without failing**: references to
 ``/root/related/...`` reading-list paths in the docs whose checkout is
@@ -220,6 +223,22 @@ def check_identifiers(errors: list[str]) -> None:
             )
 
 
+def uncovered_examples(test_source: str) -> list[str]:
+    """``examples/*.py`` paths that ``test_source`` never names."""
+    on_disk = sorted(f"examples/{p.name}" for p in (REPO / "examples").glob("*.py"))
+    return [path for path in on_disk if path not in test_source]
+
+
+def check_example_coverage(errors: list[str]) -> None:
+    """Every example script must be run by tests/test_examples.py."""
+    test_source = (REPO / "tests" / "test_examples.py").read_text()
+    for path in uncovered_examples(test_source):
+        errors.append(
+            f"{path} is not named in tests/test_examples.py — add it so "
+            "tier-1 runs it"
+        )
+
+
 def related_path_warnings() -> list[str]:
     """Warnings for ``/root/related/...`` doc references absent on disk.
 
@@ -250,6 +269,7 @@ def main() -> int:
     check_verify_command(errors)
     check_cli_docs(errors)
     check_identifiers(errors)
+    check_example_coverage(errors)
     for warning in related_path_warnings():
         print(f"doc-sync: warning: {warning}", file=sys.stderr)
     for problem in errors:
@@ -257,7 +277,7 @@ def main() -> int:
     if not errors:
         print(
             "doc-sync: DESIGN.md experiment index, README verify command, "
-            "CLI docs and identifiers OK"
+            "CLI docs, identifiers and example coverage OK"
         )
     return len(errors)
 

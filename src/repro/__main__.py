@@ -75,7 +75,7 @@ def _cmd_fig13(_args) -> None:
 def _cmd_fig9(args) -> None:
     from repro.config import frontier_system, paper_config
     from repro.xmoe.memory_model import SystemKind
-    from repro.xmoe.trainer import sweep_best_config
+    from repro.tuner import sweep_best_config
 
     kinds = [
         SystemKind.DEEPSPEED_MOE,
@@ -90,13 +90,13 @@ def _cmd_fig9(args) -> None:
         cells = []
         for kind in kinds:
             result = sweep_best_config(paper_config(name), 256, kind, sys256)
-            cells.append("OOM" if result.oom else f"{result.tflops_per_gpu:.1f} TF")
+            cells.append("OOM" if not result.feasible else f"{result.tflops_per_gpu:.1f} TF")
         print(f"{name:>8} | " + " | ".join(f"{c:>14}" for c in cells))
     if not args.quick:
         result = sweep_best_config(
             paper_config("super"), 1024, SystemKind.XMOE, frontier_system(num_nodes=128)
         )
-        status = "OOM" if result.oom else (
+        status = "OOM" if not result.feasible else (
             f"{result.tflops_per_gpu:.1f} TF/GPU, {result.aggregated_pflops:.2f} PFLOPs"
         )
         print(f"{'super':>8} | x-moe on 1024 GPUs: {status}")

@@ -3,9 +3,8 @@
 One :class:`StepRuntime` drives ``route_batch → to_pfts → plan → dispatch →
 run_experts → combine`` for **all ranks of an EP group at once**, replacing
 the per-rank ``policy.route()`` Python loops that every workload previously
-re-implemented.  Validation (:func:`repro.xmoe.trainer.run_routing_validation`
-and :meth:`~repro.xmoe.trainer.SimulatedTrainer.validate_routing`), the
-dispatch/router benchmarks, the tuner's end-to-end acceptance leg, and the
+re-implemented.  Validation (:func:`repro.xmoe.trainer.run_routing_validation`),
+the dispatch/router benchmarks, the tuner's end-to-end acceptance leg, and the
 training examples are all thin consumers of this one loop.
 
 The batched stages live next to the objects they batch —

@@ -23,13 +23,19 @@ The winning plan is immediately runnable::
 Entry points: :func:`tune` (library), ``python -m repro tune`` (CLI),
 ``examples/autotune_plan.py`` (walkthrough), and
 ``benchmarks/test_autotune.py`` (the acceptance benchmark).
+
+The paper's own method (§5.2: sweep EP, TP and ZeRO per training system,
+report the fastest plan that fits) is one preset of the same search,
+:meth:`SearchSpace.paper_sweep`, which :func:`sweep_best_config` runs for
+Figs. 9 and 20, Table 5, ``repro fig9`` and
+``examples/plan_545b_on_frontier.py``.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.config.hardware import SystemSpec
+from repro.config.hardware import SystemSpec, frontier_system
 from repro.config.model_config import MoEModelConfig
 from repro.obs import tracer as obs
 from repro.tuner.calibration import Calibration, load_calibration
@@ -48,6 +54,7 @@ __all__ = [
     "TuningReport",
     "load_calibration",
     "pareto_frontier",
+    "sweep_best_config",
     "tune",
 ]
 
@@ -105,6 +112,11 @@ def tune(
         num_enumerated=len(scores),
         num_infeasible=len(scores) - len(feasible),
         pareto=pareto,
+        least_memory_pruned=min(
+            (s for s in scores if not s.feasible),
+            key=lambda s: s.peak_memory_gb,
+            default=None,
+        ),
         evaluator_stats=evaluator.stats.as_dict(),
         calibration_source=(
             evaluator.calibration.source
@@ -113,3 +125,37 @@ def tune(
         ),
         elapsed_seconds=elapsed,
     )
+
+
+def sweep_best_config(
+    model: MoEModelConfig,
+    world_size: int,
+    kind: SystemKind,
+    system_spec: SystemSpec | None = None,
+    *,
+    global_batch_size: int = 1024,
+    micro_batch_size: int = 1,
+) -> CandidateScore:
+    """The paper's per-system result (§5.2): the fastest plan that fits.
+
+    Runs :func:`tune` over :meth:`SearchSpace.paper_sweep` with the analytic
+    models as-is.  When no plan fits, returns the pruned plan that needs the
+    least memory (``feasible`` is False).  ``system_spec`` defaults to the
+    smallest Frontier slice holding ``world_size`` GPUs.
+    """
+    if system_spec is None:
+        system_spec = frontier_system(num_nodes=-(-world_size // 8))
+    space = SearchSpace.paper_sweep(
+        model,
+        system_spec,
+        kind,
+        world_size=world_size,
+        global_batch_size=global_batch_size,
+        micro_batch_size=micro_batch_size,
+    )
+    report = tune(model, system_spec, space=space, kind=kind)
+    if report.ranked:
+        return report.best
+    if report.least_memory_pruned is None:
+        raise ValueError("no valid parallel configuration for the requested sweep")
+    return report.least_memory_pruned

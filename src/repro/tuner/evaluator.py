@@ -55,6 +55,13 @@ class CandidateScore:
     time_breakdown: dict[str, float] | None = None
     memory_breakdown: dict[str, float] | None = None
 
+    @property
+    def aggregated_pflops(self) -> float | None:
+        """Achieved PFLOPs summed over every GPU of the plan."""
+        if self.tflops_per_gpu is None:
+            return None
+        return self.tflops_per_gpu * self.candidate.parallel.world_size / 1e3
+
     def dominates(self, other: "CandidateScore") -> bool:
         """Pareto dominance: no worse on all three objectives, better on one.
 

@@ -58,6 +58,8 @@ class TuningReport:
     num_enumerated: int
     num_infeasible: int
     pareto: list[CandidateScore] = field(default_factory=list)
+    #: the pruned plan that needs the least memory (first seen on ties).
+    least_memory_pruned: CandidateScore | None = None
     evaluator_stats: dict = field(default_factory=dict)
     calibration_source: str | None = None
     elapsed_seconds: float = 0.0

@@ -29,6 +29,7 @@ from repro.config.parallel_config import (
     ZeroStage,
 )
 from repro.routing.policies import ROUTER_POLICY_NAMES
+from repro.xmoe.memory_model import SystemKind
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,51 @@ class SearchSpace:
                     f"unknown router policy {router!r}; "
                     f"available: {sorted(ROUTER_POLICY_NAMES)}"
                 )
+
+    @classmethod
+    def paper_sweep(
+        cls,
+        model: MoEModelConfig,
+        system: SystemSpec,
+        kind: SystemKind,
+        *,
+        world_size: int,
+        global_batch_size: int = 1024,
+        micro_batch_size: int = 1,
+    ) -> "SearchSpace":
+        """The EP / TP / ZeRO sweep the paper runs for one system (§5.2).
+
+        EP takes the powers of two from 8 to 256 that fit the world and the
+        expert count; TP is {1, 2, 4, 8} for DeepSpeed-TED, {1, 2, 4} for
+        X-MoE and 1 otherwise.  X-MoE dispatches RBD with DP-first placement
+        and turns SSMB on whenever TP > 1; the baselines dispatch flat with
+        EP-first placement.  Router and capacity factor are the model's own.
+        """
+        xmoe = kind is SystemKind.XMOE
+        bound = min(world_size, model.num_experts)
+        ep_options = [e for e in (8, 16, 32, 64, 128, 256) if e <= bound] or [bound]
+        tp_options = {
+            SystemKind.DEEPSPEED_TED: [1, 2, 4, 8],
+            SystemKind.XMOE: [1, 2, 4],
+        }.get(kind, [1])
+        return cls(
+            system=system,
+            model=model,
+            tokens_per_step=global_batch_size * model.seq_length,
+            world_size=world_size,
+            ep_options=ep_options,
+            tp_options=tp_options,
+            dispatch_options=("rbd",) if xmoe else ("flat",),
+            placement_options=(
+                (PlacementOrder.DP_FIRST,) if xmoe else (PlacementOrder.EP_FIRST,)
+            ),
+            router_options=(model.router,),
+            capacity_factors=(model.capacity_factor,),
+            micro_batch_options=(micro_batch_size,),
+            predicates=[
+                lambda c: c.parallel.use_ssmb == (xmoe and c.parallel.tp_size > 1)
+            ],
+        )
 
     # ------------------------------------------------------------------
     @property

@@ -19,8 +19,9 @@ Sub-modules:
   accounting (Table 2, Table 4, Figs. 3 and 13, Eqs. 1–2).
 * :mod:`repro.xmoe.perf_model` — FLOPs / time-breakdown / throughput model
   (Figs. 9–12, 14, 20, Table 5).
-* :mod:`repro.xmoe.trainer` — end-to-end simulated training driver with
-  OOM detection and configuration sweeps.
+* :mod:`repro.xmoe.trainer` — training-config glue (dispatcher and router
+  policy for a plan) and the functional routing / ZeRO validation drivers.
+  The paper's plan sweep is :func:`repro.tuner.sweep_best_config`.
 """
 
 from repro.xmoe.pft import (
@@ -47,14 +48,11 @@ from repro.xmoe.memory_model import (
 )
 from repro.xmoe.perf_model import MoEPerformanceModel, LayerTimeBreakdown, SystemKind
 from repro.xmoe.trainer import (
-    SimulatedTrainer,
-    TrainRunResult,
     ZeroValidationResult,
     dispatcher_for_config,
     policy_for_config,
     run_routing_validation,
     run_zero_training_validation,
-    sweep_best_config,
     sweep_dispatch_validation,
 )
 
@@ -81,13 +79,10 @@ __all__ = [
     "MoEPerformanceModel",
     "LayerTimeBreakdown",
     "SystemKind",
-    "SimulatedTrainer",
-    "TrainRunResult",
     "ZeroValidationResult",
     "dispatcher_for_config",
     "policy_for_config",
     "run_routing_validation",
     "run_zero_training_validation",
-    "sweep_best_config",
     "sweep_dispatch_validation",
 ]

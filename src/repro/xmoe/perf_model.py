@@ -482,11 +482,3 @@ class MoEPerformanceModel:
         flops = self.model.train_flops_per_token() * self.tokens_per_step()
         seconds = self.iteration_time()
         return flops / seconds / self.parallel.world_size / 1e12
-
-    def aggregated_pflops(self) -> float:
-        """Aggregate achieved PFLOPs across the whole job."""
-        return self.throughput_tflops_per_gpu() * self.parallel.world_size / 1e3
-
-    def fits_in_memory(self) -> bool:
-        """Whether the configuration avoids OOM on this system's GPUs."""
-        return self.memory.fits(self.kind)

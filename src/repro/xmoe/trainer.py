@@ -1,16 +1,12 @@
-"""End-to-end simulated training driver.
+"""Training-config glue and the functional validation drivers.
 
-:class:`SimulatedTrainer` ties the memory model and performance model
-together for one (model, parallel, system, training-system) combination and
-produces a :class:`TrainRunResult` — either an OOM verdict or the achieved
-throughput, mirroring how the paper reports Fig. 9 / Fig. 10 / Table 5.
+The paper's plan search (sweep EP, TP and ZeRO, keep the fastest plan that
+fits in memory) is :func:`repro.tuner.sweep_best_config`, one preset of the
+tuner's search; this module holds what turns a chosen plan into running
+code.
 
-:func:`sweep_best_config` reproduces the paper's methodology of sweeping EP
-size, ZeRO stage, and (for TED/X-MoE) the TP degree, then reporting the best
-configuration that fits in memory.
-
-:func:`dispatcher_for_config` and :func:`policy_for_config` bridge the
-analytic trainer and the functional substrate: the former returns the
+:func:`dispatcher_for_config` and :func:`policy_for_config` bridge a
+chosen plan and the functional substrate: the former returns the
 plan-based dispatch engine (flat, RBD, or hierarchical, per
 ``parallel.dispatch``), the latter the
 :class:`~repro.routing.policies.RouterPolicy` named by ``model.router`` —
@@ -25,23 +21,20 @@ strategy, which is how the dispatch benchmarks compare per-tier traffic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.comm.process_group import CommWorld, ProcessGroup
-from repro.config.hardware import SystemSpec, frontier_system
+from repro.config.hardware import SystemSpec
 from repro.obs import tracer as obs
 from repro.config.model_config import MoEModelConfig
-from repro.config.parallel_config import ParallelConfig, PlacementOrder, ZeroStage
+from repro.config.parallel_config import ParallelConfig, ZeroStage
 from repro.moe.layer import compute_capacity
 from repro.routing.engine import PlanDispatcher, make_dispatcher
 from repro.routing.policies import RouterPolicy, make_policy, skewed_router_tokens
 from repro.routing.telemetry import RoutingTelemetry
 from repro.runtime import StepRuntime
-from repro.xmoe.memory_model import MoEMemoryModel, SystemKind
-from repro.xmoe.perf_model import MoEPerformanceModel
 
 
 def dispatcher_for_config(
@@ -309,226 +302,3 @@ def sweep_dispatch_validation(
         kind: run_routing_validation(router, dispatch=kind, **kwargs)
         for kind in kinds
     }
-
-
-@dataclass
-class TrainRunResult:
-    """Outcome of one simulated training configuration."""
-
-    system: SystemKind
-    model_name: str
-    parallel: ParallelConfig
-    oom: bool
-    peak_memory_gb: float
-    iteration_seconds: float | None = None
-    tflops_per_gpu: float | None = None
-    aggregated_pflops: float | None = None
-
-    @property
-    def trainable(self) -> bool:
-        """Whether the configuration fit in memory (no OOM verdict)."""
-        return not self.oom
-
-    def describe(self) -> str:
-        """One status line: system, model, layout, memory, throughput."""
-        status = "OOM" if self.oom else f"{self.tflops_per_gpu:.1f} TFLOPs/GPU"
-        return (
-            f"{self.system.value:>14s} | {self.model_name:>8s} | "
-            f"{self.parallel.describe()} | mem={self.peak_memory_gb:.1f} GB | {status}"
-        )
-
-
-class SimulatedTrainer:
-    """Evaluate a single training configuration on the simulated cluster."""
-
-    def __init__(
-        self,
-        model: MoEModelConfig,
-        parallel: ParallelConfig,
-        system_spec: SystemSpec | None = None,
-        kind: SystemKind = SystemKind.XMOE,
-    ):
-        if system_spec is None:
-            needed_nodes = max(1, -(-parallel.world_size // 8))
-            system_spec = frontier_system(num_nodes=needed_nodes)
-        self.model = model
-        self.parallel = parallel
-        self.system_spec = system_spec
-        self.kind = kind
-        self.memory = MoEMemoryModel(model, parallel, system_spec.node.gpu)
-        self.perf = MoEPerformanceModel(model, parallel, system_spec, kind)
-
-    def run(self) -> TrainRunResult:
-        """Check memory, then (if trainable) compute throughput."""
-        with obs.span(
-            "trainer.run",
-            "trainer",
-            system=self.kind.value,
-            model=self.model.name,
-        ) as run_span:
-            report = self.memory.report(self.kind)
-            if not report.fits:
-                run_span.set(oom=True, peak_memory_gb=report.total_gb)
-                return TrainRunResult(
-                    system=self.kind,
-                    model_name=self.model.name,
-                    parallel=self.parallel,
-                    oom=True,
-                    peak_memory_gb=report.total_gb,
-                )
-            seconds = self.perf.iteration_time()
-            tflops = self.perf.throughput_tflops_per_gpu()
-            run_span.set(oom=False, tflops_per_gpu=tflops)
-        return TrainRunResult(
-            system=self.kind,
-            model_name=self.model.name,
-            parallel=self.parallel,
-            oom=False,
-            peak_memory_gb=report.total_gb,
-            iteration_seconds=seconds,
-            tflops_per_gpu=tflops,
-            aggregated_pflops=tflops * self.parallel.world_size / 1e3,
-        )
-
-    def validate_routing(
-        self,
-        *,
-        steps: int = 2,
-        tokens_per_rank: int = 64,
-        hidden_size: int | None = None,
-        skew: float = 0.0,
-        dispatch: str | None = None,
-    ) -> RoutingTelemetry:
-        """Functionally validate this configuration's routing regime.
-
-        Runs ``model.router`` over the configuration's EP group for a few
-        steps (dispatch + combine over the simulated cluster, flat / RBD /
-        hierarchical per ``parallel.dispatch``) and returns the
-        per-step :class:`~repro.routing.telemetry.RoutingTelemetry`.
-        ``hidden_size`` defaults to the model's hidden size; pass a smaller
-        value for a cheap smoke run, or ``dispatch`` to sweep a strategy
-        other than the configured one.
-        """
-        return run_routing_validation(
-            self.model.router,
-            num_ranks=self.parallel.ep_size,
-            num_experts=self.model.num_experts,
-            top_k=self.model.top_k,
-            hidden_size=hidden_size or self.model.hidden_size,
-            tokens_per_rank=tokens_per_rank,
-            steps=steps,
-            capacity_factor=self.model.capacity_factor,
-            dispatch=dispatch or self.parallel.dispatch,
-            seed=self.parallel.router_seed,
-            skew=skew,
-        )
-
-    def validate_zero(
-        self,
-        *,
-        steps: int = 3,
-        max_dp: int = 4,
-        bucket_bytes: int = 32 << 10,
-    ) -> ZeroValidationResult:
-        """Functionally validate this configuration's ZeRO stage.
-
-        Trains the tiny replica workload at ``parallel.zero_stage`` over a
-        data-parallel group of ``min(parallel.dp_size, max_dp)`` simulated
-        ranks (the cap keeps the functional run cheap while exercising the
-        same sharding arithmetic the analytic models use at full scale).
-        """
-        dp = max(2, min(self.parallel.dp_size, max_dp))
-        return run_zero_training_validation(
-            zero_stage=self.parallel.zero_stage,
-            dp_size=dp,
-            steps=steps,
-            bucket_bytes=bucket_bytes,
-            seed=self.parallel.router_seed,
-        )
-
-
-def _candidate_parallel_configs(
-    model: MoEModelConfig,
-    world_size: int,
-    kind: SystemKind,
-    *,
-    global_batch_size: int,
-    micro_batch_size: int = 1,
-) -> list[ParallelConfig]:
-    """The EP / TP / ZeRO sweep the paper performs for each system (§5.2)."""
-    ep_options = [e for e in (8, 16, 32, 64, 128, 256) if e <= min(world_size, model.num_experts)]
-    if not ep_options:
-        ep_options = [min(world_size, model.num_experts)]
-    zero_options = [ZeroStage.OPTIMIZER, ZeroStage.GRADIENTS]
-    if kind is SystemKind.DEEPSPEED_TED:
-        tp_options = [1, 2, 4, 8]
-    elif kind is SystemKind.XMOE:
-        tp_options = [1, 2, 4]
-    else:
-        tp_options = [1]
-
-    configs: list[ParallelConfig] = []
-    for ep, tp, zero in itertools.product(ep_options, tp_options, zero_options):
-        if world_size % tp or world_size % ep:
-            continue
-        if model.num_experts % ep:
-            continue
-        dp = world_size // tp
-        if global_batch_size % dp:
-            continue
-        configs.append(
-            ParallelConfig(
-                world_size=world_size,
-                ep_size=ep,
-                tp_size=tp,
-                zero_stage=zero,
-                use_ssmb=(kind is SystemKind.XMOE and tp > 1),
-                dispatch="rbd" if kind is SystemKind.XMOE else "flat",
-                placement=(
-                    PlacementOrder.DP_FIRST
-                    if kind is SystemKind.XMOE
-                    else PlacementOrder.EP_FIRST
-                ),
-                micro_batch_size=micro_batch_size,
-                global_batch_size=global_batch_size,
-            )
-        )
-    return configs
-
-
-def sweep_best_config(
-    model: MoEModelConfig,
-    world_size: int,
-    kind: SystemKind,
-    system_spec: SystemSpec | None = None,
-    *,
-    global_batch_size: int = 1024,
-    micro_batch_size: int = 1,
-) -> TrainRunResult:
-    """Best (highest-throughput) trainable configuration for one system.
-
-    If no candidate fits in memory the returned result has ``oom=True`` and
-    reports the smallest peak memory seen across the sweep.
-    """
-    candidates = _candidate_parallel_configs(
-        model,
-        world_size,
-        kind,
-        global_batch_size=global_batch_size,
-        micro_batch_size=micro_batch_size,
-    )
-    best: TrainRunResult | None = None
-    least_oom: TrainRunResult | None = None
-    for parallel in candidates:
-        result = SimulatedTrainer(model, parallel, system_spec, kind).run()
-        if result.oom:
-            if least_oom is None or result.peak_memory_gb < least_oom.peak_memory_gb:
-                least_oom = result
-            continue
-        if best is None or result.tflops_per_gpu > best.tflops_per_gpu:
-            best = result
-    if best is not None:
-        return best
-    if least_oom is not None:
-        return least_oom
-    raise ValueError("no valid parallel configuration for the requested sweep")

@@ -394,3 +394,86 @@ class ReferenceMegablocksDispatcher:
         combine_weights = gate_out.probs[token_idx, expert_idx]
         output = ops.scatter_rows(expert_out, token_idx, s, weights=combine_weights)
         return output, gate_out.aux_loss
+
+
+def reference_paper_configs(model, world_size, kind, *, global_batch_size, micro_batch_size=1):
+    """The paper's EP / TP / ZeRO sweep (§5.2) as a plain enumeration."""
+    import itertools
+
+    from repro.config import ParallelConfig, PlacementOrder, ZeroStage
+    from repro.xmoe.memory_model import SystemKind
+
+    ep_options = [e for e in (8, 16, 32, 64, 128, 256) if e <= min(world_size, model.num_experts)]
+    if not ep_options:
+        ep_options = [min(world_size, model.num_experts)]
+    zero_options = [ZeroStage.OPTIMIZER, ZeroStage.GRADIENTS]
+    if kind is SystemKind.DEEPSPEED_TED:
+        tp_options = [1, 2, 4, 8]
+    elif kind is SystemKind.XMOE:
+        tp_options = [1, 2, 4]
+    else:
+        tp_options = [1]
+
+    configs = []
+    for ep, tp, zero in itertools.product(ep_options, tp_options, zero_options):
+        if world_size % tp or world_size % ep or model.num_experts % ep:
+            continue
+        if global_batch_size % (world_size // tp):
+            continue
+        configs.append(
+            ParallelConfig(
+                world_size=world_size,
+                ep_size=ep,
+                tp_size=tp,
+                zero_stage=zero,
+                use_ssmb=(kind is SystemKind.XMOE and tp > 1),
+                dispatch="rbd" if kind is SystemKind.XMOE else "flat",
+                placement=(
+                    PlacementOrder.DP_FIRST
+                    if kind is SystemKind.XMOE
+                    else PlacementOrder.EP_FIRST
+                ),
+                micro_batch_size=micro_batch_size,
+                global_batch_size=global_batch_size,
+            )
+        )
+    return configs
+
+
+def reference_sweep_best_config(
+    model, world_size, kind, system, *, global_batch_size=1024, micro_batch_size=1
+):
+    """The paper's sweep as a plain loop over one plan at a time.
+
+    Each plan gets the memory model's verdict, then (if it fits) the perf
+    model's throughput; the first plan with the highest throughput wins.
+    With no plan fitting, the first plan needing the least memory is
+    returned with ``oom=True``.
+    """
+    from types import SimpleNamespace
+
+    from repro.xmoe.memory_model import MoEMemoryModel
+    from repro.xmoe.perf_model import MoEPerformanceModel
+
+    best = least_oom = None
+    for parallel in reference_paper_configs(
+        model,
+        world_size,
+        kind,
+        global_batch_size=global_batch_size,
+        micro_batch_size=micro_batch_size,
+    ):
+        report = MoEMemoryModel(model, parallel, system.node.gpu).report(kind)
+        result = SimpleNamespace(
+            parallel=parallel, oom=not report.fits, peak_memory_gb=report.total_gb,
+            tflops_per_gpu=None,
+        )
+        if result.oom:
+            if least_oom is None or result.peak_memory_gb < least_oom.peak_memory_gb:
+                least_oom = result
+            continue
+        perf = MoEPerformanceModel(model, parallel, system, kind)
+        result.tflops_per_gpu = perf.throughput_tflops_per_gpu()
+        if best is None or result.tflops_per_gpu > best.tflops_per_gpu:
+            best = result
+    return best or least_oom

@@ -27,6 +27,7 @@ def test_docs_are_in_sync():
     checker.check_verify_command(errors)
     checker.check_cli_docs(errors)
     checker.check_identifiers(errors)
+    checker.check_example_coverage(errors)
     assert not errors, "doc-sync problems:\n" + "\n".join(errors)
 
 
@@ -95,3 +96,13 @@ def test_related_paths_warn_not_fail():
     for warning in warnings:
         assert "/root/related/" in warning
         assert "advisory" in warning
+
+
+def test_example_missing_from_tests_is_an_error():
+    """An example script that tests/test_examples.py never names is flagged."""
+    checker = load_checker()
+    source = '["examples/quickstart.py"], ["examples/train_small_moe.py", "--steps", "3"]'
+    missing = checker.uncovered_examples(source)
+    assert "examples/rbd_dispatch_demo.py" in missing
+    assert "examples/quickstart.py" not in missing
+    assert "examples/train_small_moe.py" not in missing

@@ -1,7 +1,8 @@
 """The example scripts run to completion.
 
-They construct the MoE layers end to end, so a reshaped layer API that
-breaks them fails here instead of on a reader's first run.
+They construct the MoE layers and plan searches end to end, so a reshaped
+API that breaks them fails here instead of on a reader's first run.
+``scripts/check_doc_sync.py`` fails when an example is not named here.
 """
 
 import os
@@ -16,7 +17,13 @@ REPO = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "script",
-    [["examples/quickstart.py"], ["examples/train_small_moe.py", "--steps", "3"]],
+    [
+        ["examples/quickstart.py"],
+        ["examples/train_small_moe.py", "--steps", "3"],
+        ["examples/memory_planning.py"],
+        ["examples/autotune_plan.py"],
+        ["examples/plan_545b_on_frontier.py"],
+    ],
     ids=lambda args: Path(args[0]).stem,
 )
 def test_example_exits_cleanly(script):

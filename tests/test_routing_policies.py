@@ -403,15 +403,22 @@ class TestConfigWiring:
         assert policy.weight is not None and policy.weight.shape == (HIDDEN, EXPERTS)
 
     def test_trainer_validate_routing(self):
-        from repro.xmoe import SimulatedTrainer
-
         model = MoEModelConfig(
             name="tiny", seq_length=32, hidden_size=HIDDEN, ffn_hidden_size=8,
             num_experts=EXPERTS, top_k=2, num_layers=2, router="noisy-topk",
         )
         parallel = ParallelConfig(world_size=8, ep_size=8, dispatch="rbd")
-        telemetry = SimulatedTrainer(model, parallel).validate_routing(
-            steps=2, tokens_per_rank=16
+        telemetry = run_routing_validation(
+            model.router,
+            num_ranks=parallel.ep_size,
+            num_experts=model.num_experts,
+            top_k=model.top_k,
+            hidden_size=model.hidden_size,
+            tokens_per_rank=16,
+            steps=2,
+            capacity_factor=model.capacity_factor,
+            dispatch=parallel.dispatch,
+            seed=parallel.router_seed,
         )
         assert telemetry.steps == 2
         assert telemetry.assignments == 2 * 8 * 16 * 2

@@ -14,11 +14,13 @@ from repro.tuner import (
     TuningCandidate,
     load_calibration,
     pareto_frontier,
+    sweep_best_config,
     tune,
 )
 from repro.runtime import StepRuntime
 from repro.xmoe import dispatcher_for_config, policy_for_config
 from repro.xmoe.memory_model import MoEMemoryModel, SystemKind
+from tests.helpers import reference_paper_configs, reference_sweep_best_config
 
 SMALL = paper_config("small")
 SYS16 = frontier_system(num_nodes=16)  # 128 GCDs
@@ -309,3 +311,67 @@ class TestTuneAndReport:
 
 def test_pareto_frontier_empty_input():
     assert pareto_frontier([]) == []
+
+
+def _paper_sweeps():
+    """The 46 sweeps behind Fig. 9, Fig. 20 and Table 5."""
+    baselines = (SystemKind.DEEPSPEED_MOE, SystemKind.DEEPSPEED_TED, SystemKind.TUTEL)
+    sys256, sys1024, dgx = frontier_system(32), frontier_system(128), dgx_cluster(1)
+    sweeps = []
+    for name in ("small", "medium", "large"):
+        for kind in (*baselines, SystemKind.XMOE):
+            sweeps.append((f"fig9-{name}", paper_config(name), 256, kind, sys256, 1024))
+    for kind in (SystemKind.TUTEL, SystemKind.XMOE):
+        sweeps.append(("fig9-super", paper_config("super"), 1024, kind, sys1024, 1024))
+    for layers in (8, 12, 16, 20, 24):
+        model = paper_config("large").scaled(num_layers=layers)
+        for kind in (SystemKind.DEEPSPEED_MOE, SystemKind.TUTEL, SystemKind.XMOE):
+            sweeps.append((f"fig20-{layers}L", model, 256, kind, sys256, 1024))
+    for k in (4, 8, 12, 16):
+        model = paper_config("large").scaled(top_k=k, num_layers=16)
+        for kind in (SystemKind.TUTEL, SystemKind.XMOE):
+            sweeps.append((f"fig20-k{k}", model, 256, kind, sys256, 1024))
+    for name in ("small", "small-sr", "small-lr"):
+        for kind in (SystemKind.DEEPSPEED_MOE, SystemKind.TUTEL, SystemKind.XMOE):
+            sweeps.append((f"table5-{name}", paper_config(name), 8, kind, dgx, 64))
+    return [
+        pytest.param(*rest, id=f"{label}-{rest[2].value}") for label, *rest in sweeps
+    ]
+
+
+PAPER_SWEEPS = _paper_sweeps()
+
+
+class TestPaperSweepPreset:
+    """The paper's sweep (§5.2) as a tuner preset equals the plain loop."""
+
+    @pytest.mark.parametrize("model, world, kind, system, batch", PAPER_SWEEPS)
+    def test_matches_plain_sweep(self, model, world, kind, system, batch):
+        space = SearchSpace.paper_sweep(
+            model, system, kind, world_size=world, global_batch_size=batch
+        )
+        candidates = list(space.candidates())
+        assert [c.parallel for c in candidates] == reference_paper_configs(
+            model, world, kind, global_batch_size=batch
+        )
+        assert {(c.router, c.capacity_factor) for c in candidates} == {
+            (model.router, model.capacity_factor)
+        }
+
+        oracle = reference_sweep_best_config(
+            model, world, kind, system, global_batch_size=batch
+        )
+        result = sweep_best_config(model, world, kind, system, global_batch_size=batch)
+        assert result.feasible is not oracle.oom
+        assert result.tflops_per_gpu == oracle.tflops_per_gpu
+        if oracle.oom:
+            assert result.peak_memory_gb == oracle.peak_memory_gb
+            assert result.candidate.parallel == oracle.parallel
+        else:
+            # Ties in step time go to the plan that needs less memory.
+            assert result.peak_memory_gb <= oracle.peak_memory_gb
+
+    def test_default_system_is_the_smallest_frontier_slice(self):
+        assert sweep_best_config(SMALL, 16, SystemKind.XMOE) == sweep_best_config(
+            SMALL, 16, SystemKind.XMOE, frontier_system(2)
+        )

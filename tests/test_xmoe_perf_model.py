@@ -208,13 +208,3 @@ class TestThroughput:
         )
         ckpt = MoEPerformanceModel(paper_config("large"), base, SYS256, SystemKind.XMOE)
         assert ssmb.throughput_tflops_per_gpu() > ckpt.throughput_tflops_per_gpu()
-
-    def test_aggregated_pflops_consistent(self):
-        perf = make_perf("super", SystemKind.XMOE, ep=256, tp=2, use_ssmb=True, world=1024)
-        assert perf.aggregated_pflops() == pytest.approx(
-            perf.throughput_tflops_per_gpu() * 1024 / 1e3
-        )
-
-    def test_fits_in_memory_consistent_with_memory_model(self):
-        perf = make_perf("large", SystemKind.DEEPSPEED_MOE, ep=64)
-        assert perf.fits_in_memory() == perf.memory.fits(SystemKind.DEEPSPEED_MOE)

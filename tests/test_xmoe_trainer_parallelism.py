@@ -1,4 +1,4 @@
-"""Tests for the simulated trainer, config sweep, and placement planner."""
+"""Tests for plan pricing, the paper's config sweep, and the placement planner."""
 
 import numpy as np
 import pytest
@@ -11,34 +11,42 @@ from repro.config import (
     frontier_system,
     paper_config,
 )
-from repro.xmoe import SimulatedTrainer, plan_placement, sweep_best_config
+from repro.tuner import MemoizingEvaluator, TuningCandidate, sweep_best_config
+from repro.xmoe import plan_placement
 from repro.xmoe.memory_model import SystemKind
 from repro.xmoe.parallelism import build_parallel_groups, expert_to_rank_map
 
 
 class TestSimulatedTrainer:
+    """Simulated training verdicts: one plan priced, and the paper's sweep."""
+
+    @staticmethod
+    def score(model, parallel, system, kind):
+        candidate = TuningCandidate(parallel, model.router, model.capacity_factor)
+        return MemoizingEvaluator(model, system, kind=kind).evaluate(candidate)
+
     def test_trainable_result_has_throughput(self):
-        result = SimulatedTrainer(
+        result = self.score(
             paper_config("small"),
             ParallelConfig(world_size=256, ep_size=64, global_batch_size=1024),
             frontier_system(32),
             SystemKind.XMOE,
-        ).run()
-        assert result.trainable
+        )
+        assert result.feasible
         assert result.tflops_per_gpu > 0
-        assert result.iteration_seconds > 0
-        assert "TFLOPs" in result.describe()
+        assert result.step_seconds > 0
+        assert result.aggregated_pflops == pytest.approx(result.tflops_per_gpu * 256 / 1e3)
 
     def test_oom_result(self):
-        result = SimulatedTrainer(
+        result = self.score(
             paper_config("large"),
             ParallelConfig(world_size=256, ep_size=64, global_batch_size=1024),
             frontier_system(32),
             SystemKind.DEEPSPEED_MOE,
-        ).run()
-        assert result.oom
+        )
+        assert not result.feasible
         assert result.tflops_per_gpu is None
-        assert "OOM" in result.describe()
+        assert result.aggregated_pflops is None
 
     def test_fig9_sweep_verdicts(self):
         """The headline Fig. 9 result: every baseline OOMs on the Large model
@@ -47,15 +55,15 @@ class TestSimulatedTrainer:
         sys256 = frontier_system(32)
         large = paper_config("large")
         for kind in (SystemKind.DEEPSPEED_MOE, SystemKind.DEEPSPEED_TED, SystemKind.TUTEL):
-            assert sweep_best_config(large, 256, kind, sys256).oom
-        assert not sweep_best_config(large, 256, SystemKind.XMOE, sys256).oom
+            assert not sweep_best_config(large, 256, kind, sys256).feasible
+        assert sweep_best_config(large, 256, SystemKind.XMOE, sys256).feasible
 
         small = paper_config("small")
         results = {
             kind: sweep_best_config(small, 256, kind, sys256)
             for kind in (SystemKind.DEEPSPEED_MOE, SystemKind.TUTEL, SystemKind.XMOE)
         }
-        assert all(not r.oom for r in results.values())
+        assert all(r.feasible for r in results.values())
         assert (
             results[SystemKind.XMOE].tflops_per_gpu
             > results[SystemKind.TUTEL].tflops_per_gpu
@@ -65,9 +73,9 @@ class TestSimulatedTrainer:
     def test_super_model_only_trains_with_xmoe(self):
         sys1024 = frontier_system(128)
         sup = paper_config("super")
-        assert sweep_best_config(sup, 1024, SystemKind.TUTEL, sys1024).oom
+        assert not sweep_best_config(sup, 1024, SystemKind.TUTEL, sys1024).feasible
         result = sweep_best_config(sup, 1024, SystemKind.XMOE, sys1024)
-        assert not result.oom
+        assert result.feasible
         assert result.aggregated_pflops > 1.0
 
     def test_table5_xmoe_trains_small_on_a100(self):
@@ -75,7 +83,7 @@ class TestSimulatedTrainer:
         result = sweep_best_config(
             paper_config("small"), 8, SystemKind.XMOE, dgx, global_batch_size=64
         )
-        assert not result.oom
+        assert result.feasible
 
     def test_sweep_requires_valid_candidates(self):
         with pytest.raises(ValueError):
