@@ -44,6 +44,32 @@ def write_record(name: str, record: dict) -> None:
         pass
 
 
+def count_calls(fn) -> tuple:
+    """``(fn(), calls)``: the Python function calls into ``repro`` that
+    ``fn()`` makes, counted from ``sys.setprofile`` ``call`` events.
+
+    A deterministic twin for a wall-clock gate: the count does not move
+    with machine load, so "the work does not grow with the input" can be
+    asserted exactly where a timing ratio can only be bounded.
+    """
+    import repro
+
+    package = str(Path(repro.__file__).resolve().parent)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
 def print_table(title: str, rows: list[dict]) -> None:
     """Pretty-print a list of dict rows as an aligned table."""
     if not rows:

@@ -15,9 +15,14 @@ Three measurements:
 * ``dispatch`` / ``combine`` — executing the plan with real (hidden=64)
   buffers over the simulated cluster, flat vs RBD.
 
+Next to the wall bar sits a deterministic twin: the Python calls into
+``repro`` one flat, RBD or hier plan build makes at EP 32 (top-6 of 64
+experts) must be the same at 64 and at 1024 tokens per rank.
+
 Each run (re)writes a machine-local JSON record
 (``benchmarks/results/dispatch_plan_micro.json``, gitignored) so future PRs
-can track the perf trajectory on a fixed machine, and asserts the
+can track the perf trajectory on a fixed machine (the call counts
+included), and asserts the
 vectorized planner beats the seed bookkeeping by >= 10x (tunable via
 ``DISPATCH_PLAN_MIN_SPEEDUP`` for throttled CI runners).
 """
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conftest import print_table, write_record
+from conftest import count_calls, print_table, write_record
 
 from repro.comm import CommWorld
 from repro.routing import make_dispatcher
@@ -40,15 +45,31 @@ RANKS = E  # one expert per rank, 8 ranks per Frontier node
 TOKENS_PER_RANK = S // RANKS
 
 
-def build_workload(seed=0):
+def build_workload(seed=0, ranks=RANKS, tokens_per_rank=TOKENS_PER_RANK, k=K, e=E):
     rng = np.random.default_rng(seed)
     tokens, pfts = [], []
-    for _ in range(RANKS):
-        top_experts = np.argsort(rng.random((TOKENS_PER_RANK, E)), axis=1)[:, :K]
-        weights = rng.uniform(0.05, 1.0, size=(TOKENS_PER_RANK, K))
-        pfts.append(build_pft(10**6, top_experts, weights, E))
-        tokens.append(rng.normal(size=(TOKENS_PER_RANK, HIDDEN)))
+    for _ in range(ranks):
+        top_experts = np.argsort(rng.random((tokens_per_rank, e)), axis=1)[:, :k]
+        weights = rng.uniform(0.05, 1.0, size=(tokens_per_rank, k))
+        pfts.append(build_pft(10**6, top_experts, weights, e))
+        tokens.append(rng.normal(size=(tokens_per_rank, HIDDEN)))
     return tokens, pfts
+
+
+#: Shape of the call-count check: EP 32 over four nodes, top-6 of 64 experts.
+COUNT_EP, COUNT_K, COUNT_E, COUNT_TOKENS = 32, 6, 64, (64, 1024)
+
+
+def plan_call_counts() -> dict:
+    """Python calls into ``repro`` per plan build, per kind and batch size."""
+    group = CommWorld(num_ranks=COUNT_EP).world_group()
+    counts = {}
+    for kind in ("flat", "rbd", "hier"):
+        dispatcher = make_dispatcher(group, COUNT_E, kind=kind, seed=0)
+        for tokens in COUNT_TOKENS:
+            _, pfts = build_workload(1, COUNT_EP, tokens, COUNT_K, COUNT_E)
+            counts[f"{kind}@{tokens}"] = count_calls(lambda: dispatcher.plan(pfts, step=0))[1]
+    return counts
 
 
 @dataclass
@@ -272,6 +293,7 @@ def test_dispatch_plan_micro():
     )
 
     speedup = legacy_s / rbd_build_s
+    calls = plan_call_counts()
     record = {
         "workload": {
             "sequence_positions": S,
@@ -295,6 +317,7 @@ def test_dispatch_plan_micro():
             "rbd_combine": round(rbd_combine_s, 6),
         },
         "speedup_vs_seed_bookkeeping": round(speedup, 2),
+        "plan_build_calls": calls,
     }
     write_record("dispatch_plan_micro", record)
 
@@ -311,6 +334,13 @@ def test_dispatch_plan_micro():
             {"stage": f"plan-build speedup: {speedup:.0f}x", "seconds": ""},
         ],
     )
+
+    # The deterministic twin of the wall bar below: a plan build makes as
+    # many Python calls at 1024 tokens per rank as at 64 — the work per
+    # row is whole-array numpy, never Python.
+    for kind in ("flat", "rbd", "hier"):
+        small, large = (calls[f"{kind}@{t}"] for t in COUNT_TOKENS)
+        assert small == large, f"{kind} plan: {small} calls at 64 tokens, {large} at 1024"
 
     # Acceptance criterion of the routing-plan refactor (>=10x locally;
     # CI sets DISPATCH_PLAN_MIN_SPEEDUP lower because shared runners are

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-sync check: the docs must keep up with the code.
 
-Five invariants, all enforced in CI (and by ``tests/test_doc_sync.py``):
+Six invariants, all enforced in CI (and by ``tests/test_doc_sync.py``):
 
 1. **Experiment index coverage** — every ``benchmarks/test_*.py`` file must
    appear in DESIGN.md's experiment index, so a new benchmark cannot land
@@ -23,6 +23,12 @@ Five invariants, all enforced in CI (and by ``tests/test_doc_sync.py``):
 5. **Example coverage** — every ``examples/*.py`` script must be named in
    ``tests/test_examples.py``, so an example cannot drift out of the tier-1
    run and break unnoticed.
+6. **Hop table agreement** — DESIGN.md's hop table (the one with a
+   ``dispatch op / combine op`` column) must list, per plan kind and in
+   dispatch order, the hops ``PLAN_SPECS`` in ``routing/planner.py``
+   compiles: the same op pair, scope (``group`` or ``node``) and append
+   (``yes`` or ``no``), so the table cannot describe a planner that no
+   longer exists.
 
 One advisory check **warns without failing**: references to
 ``/root/related/...`` reading-list paths in the docs whose checkout is
@@ -239,6 +245,63 @@ def check_example_coverage(errors: list[str]) -> None:
         )
 
 
+def planner_hop_rows() -> dict[str, list[tuple]]:
+    """Each kind's hops as ``(op, combine op, scope, append)``, from the spec."""
+    if str(REPO / "src") not in sys.path:
+        sys.path.insert(0, str(REPO / "src"))
+    from repro.routing.planner import PLAN_SPECS
+
+    return {
+        kind: [
+            (
+                leg.op,
+                leg.combine_op,
+                "node" if leg.per_node else "group",
+                "yes" if leg is spec.fan_out and spec.append else "no",
+            )
+            for leg in spec.hops
+        ]
+        for kind, spec in PLAN_SPECS.items()
+    }
+
+
+def design_hop_rows(text: str) -> dict[str, list[tuple]]:
+    """The hop table in ``text``: each kind's rows as ``(op, combine op,
+    scope, append)``, in table order."""
+    rows: dict[str, list[tuple]] = {}
+    header = None
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            header = None
+            continue
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if "dispatch op / combine op" in cells:
+            header = cells
+        elif header is not None and not set(line) <= set("|-: "):
+            row = dict(zip(header, cells))
+            ops = re.findall(r"`([^`]+)`", row.get("dispatch op / combine op", ""))
+            rows.setdefault(row.get("kind", ""), []).append(
+                (*ops, row.get("scope"), row.get("append"))
+            )
+    return rows
+
+
+def check_hop_table(errors: list[str], design: str | None = None) -> None:
+    """DESIGN.md's hop table must match PLAN_SPECS kind by kind, hop by hop."""
+    if design is None:
+        design = (REPO / "DESIGN.md").read_text()
+    table, spec = design_hop_rows(design), planner_hop_rows()
+    if not table:
+        errors.append("DESIGN.md has no hop table (a 'dispatch op / combine op' column)")
+        return
+    for kind in sorted(set(table) | set(spec)):
+        if table.get(kind) != spec.get(kind):
+            errors.append(
+                f"DESIGN.md's hop table lists {kind!r} as {table.get(kind)}, but "
+                f"PLAN_SPECS compiles {spec.get(kind)} — update the table"
+            )
+
+
 def related_path_warnings() -> list[str]:
     """Warnings for ``/root/related/...`` doc references absent on disk.
 
@@ -270,6 +333,7 @@ def main() -> int:
     check_cli_docs(errors)
     check_identifiers(errors)
     check_example_coverage(errors)
+    check_hop_table(errors)
     for warning in related_path_warnings():
         print(f"doc-sync: warning: {warning}", file=sys.stderr)
     for problem in errors:
@@ -277,7 +341,7 @@ def main() -> int:
     if not errors:
         print(
             "doc-sync: DESIGN.md experiment index, README verify command, "
-            "CLI docs, identifiers and example coverage OK"
+            "CLI docs, identifiers, example coverage and hop table OK"
         )
     return len(errors)
 

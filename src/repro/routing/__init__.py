@@ -23,14 +23,15 @@ front of their experts", split into two orthogonal layers:
     (:mod:`repro.routing.plan`, :mod:`repro.routing.planner`,
     :mod:`repro.routing.engine`)
     Decisions become PFTs (``RoutingDecision.to_pfts``, all ranks in one
-    pass; ``to_pft`` is its one-rank case), per-rank PFTs are
-    compiled by :class:`FlatPlanner` (one group hop; the correctness
-    oracle), :class:`RBDPlanner` (redundancy-bypassing: a hop of pilots,
-    then a node hop of replicas) or :class:`HierarchicalPlanner` (node
-    gather, leader exchange, node scatter) into a :class:`DispatchPlan` —
-    an ordered list of hops plus the arrival tables, all
-    dispatch/combine bookkeeping as flat numpy arrays, built once per step —
-    and :class:`PlanDispatcher` walks the hops behind the
+    pass; ``to_pft`` is its one-rank case), and one planner function
+    compiles per-rank PFTs into a :class:`DispatchPlan` — an ordered list
+    of hops plus the arrival tables, all dispatch/combine bookkeeping as
+    flat numpy arrays, built once per step — by reading the kind's row of
+    ``planner.PLAN_SPECS``: :class:`FlatPlanner` (one fan-out hop; the
+    correctness oracle), :class:`RBDPlanner` (a group hop of pilots, then
+    an appending node fan-out) or :class:`HierarchicalPlanner` (node
+    gather, leader exchange, node fan-out).
+    :class:`PlanDispatcher` walks the hops behind the
     :class:`Dispatcher` protocol (``plan → dispatch → run_experts →
     combine``).  ``make_dispatcher(group, num_experts, kind=...)`` is the
     one constructor, with ``kind`` in :data:`DISPATCH_KINDS` — the same

@@ -32,7 +32,7 @@ from repro.comm.process_group import ProcessGroup
 from repro.config.parallel_config import DISPATCH_KINDS
 from repro.routing.plan import DispatchPlan, Hop
 from repro.routing.planner import (
-    HOP_OPS,
+    PLAN_SPECS,
     FlatPlanner,
     HierarchicalPlanner,
     RBDPlanner,
@@ -41,7 +41,7 @@ from repro.routing.planner import (
 
 
 #: dispatch-side op names per plan kind (what the tier-byte benchmarks read).
-DISPATCH_OPS = {kind: tuple(op for op, _ in ops) for kind, ops in HOP_OPS.items()}
+DISPATCH_OPS = {kind: tuple(leg.op for leg in spec.hops) for kind, spec in PLAN_SPECS.items()}
 
 
 @runtime_checkable

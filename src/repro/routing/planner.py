@@ -1,42 +1,46 @@
-"""Vectorized routing planners: flat all-to-all, redundancy-bypassing, and
-hierarchical dispatch.
+"""Vectorized routing planners: flat all-to-all, redundancy-bypassing and
+hierarchical dispatch as three rows of one spec.
 
-Every planner compiles per-rank PFTs into a
+Every plan kind works on ``(source rank, token, destination node)``
+groups, and :data:`PLAN_SPECS` writes each kind as one row:
+
+* **group legs** move one row per group — the group's *representative*,
+  its first row (after a ``(seed, step)`` shuffle for RBD) — and fold
+  back by a pure reorder;
+* the **fan-out leg** moves one row per assignment, from wherever the
+  group legs left the group onto the rank hosting the assignment's
+  expert, and folds back by summing in ``(slot, expert)`` order.  When the
+  last group leg already landed the representative on its own expert rank
+  (RBD), the representative stays there and the fan-out leg *appends* the
+  other rows.
+
+==== ============================================ ===========================
+kind group legs                                   fan-out leg
+==== ============================================ ===========================
+flat none                                         source → experts (group)
+rbd  source → representative's expert rank        → experts (node, append)
+hier source → source leader (node);               → experts (node)
+     source leader → destination leader (group)
+==== ============================================ ===========================
+
+One function, :meth:`_PlannerBase._compile`, reads the row and builds the
 :class:`~repro.routing.plan.DispatchPlan` — an ordered list of
 :class:`~repro.routing.plan.Hop` plus the destination arrival tables — by
-whole-array numpy operations over one global assignment table:
-
-* each hop's send order, gather index and reverse fold, and the arrival
-  order, fall out of combined-key argsorts (:func:`_argsort_key`),
-  bincounts and slicing; scattering each pilot's arrival slot into a
-  ``slot_of`` array indexed by global assignment id replaces the legacy
-  per-destination dict slot-maps and the O(B²) combine-side linear scan
-  with one gather;
-* one helper each builds the assignment table
-  (:meth:`_PlannerBase._assignments`), a hop's splits from the rows it
-  moves (:meth:`_PlannerBase._hop`), the arrival tables with their
-  canonical ``(dest, expert, src, row)`` grouping
-  (:meth:`_PlannerBase._arrivals`), and the plan with its statistics
-  (:meth:`_PlannerBase._plan`).
-
-:class:`FlatPlanner` sends every assignment in one group hop and doubles
-as the correctness oracle for :class:`RBDPlanner` (a group hop of pilots,
-then an appending node hop of replicas) and :class:`HierarchicalPlanner`
-(node gather, leader exchange, node scatter): all three produce
-canonically ordered expert input buffers and fold combine partial sums in
-the same association order, so every path produces bit-identical outputs.
-:data:`HOP_OPS` names every hop's collectives.
+whole-array numpy operations over one global assignment table: send
+orders, arrival slots and folds fall out of combined-key argsorts
+(:func:`_argsort_key`), bincounts and scatters, with no per-row Python.
+The arrival tables share the canonical ``(dest, expert, src, row)``
+grouping and every fold sums in the flat association order, so all three
+kinds produce bit-identical expert inputs and outputs.
 
 Determinism
 -----------
-Pilot selection is the only randomized step.  ``RBDPlanner`` derives a fresh
-generator from ``(seed, step)`` on every :meth:`RBDPlanner.build` call, so
-planning the same PFTs twice with the same ``step`` (or with ``step=None``)
-picks the same pilots — there is no hidden RNG state mutating across calls.
-Pass a different ``step`` per training step to decorrelate pilot choices
-over time while keeping every step reproducible.
-``HierarchicalPlanner`` uses no RNG at all: the row that travels for each
-(token, destination node) group is the group's lowest PFT row.
+Only RBD draws randomness: :meth:`RBDPlanner._scan` derives a fresh
+generator from ``(seed, step)`` on every build, so planning the same PFTs
+twice with the same ``step`` (or with ``step=None``) picks the same
+representatives.  Pass a different ``step`` per training step to
+decorrelate the choices over time while keeping every step reproducible.
+Hierarchical dispatch takes each group's lowest PFT row.
 """
 
 from __future__ import annotations
@@ -48,17 +52,57 @@ import numpy as np
 from repro.cluster.topology import LinkTier
 from repro.routing.plan import DispatchPlan, Hop
 
-#: ``(dispatch op, combine op)`` of every hop, in dispatch order, per plan
-#: kind: the op names CommStats records.  The planner writes each pair into
-#: its hop; the combine op runs the hop in reverse.
-HOP_OPS = {
-    "flat": (("dispatch_a2a", "combine_a2a"),),
-    "rbd": (("rbd_s1_a2a", "rbd_c2_a2a"), ("rbd_s2_a2a", "rbd_c1_a2a")),
-    "hier": (
-        ("hier_gather_a2a", "hier_c_scatter_a2a"),
-        ("hier_inter_a2a", "hier_c_inter_a2a"),
-        ("hier_scatter_a2a", "hier_c_gather_a2a"),
+
+@dataclass(frozen=True)
+class Leg:
+    """One hop of a plan spec: its op names, where its rows go, its scope."""
+
+    op: str  # dispatch op name recorded in CommStats
+    combine_op: str  # op name of the reversed exchange
+    per_node: bool = False  # exchange per node subgroup (else across the group)
+    to: str = "expert"  # a key of _LANDING
+
+
+@dataclass(frozen=True)
+class PlanSpec:
+    """One plan kind: its group legs, then its fan-out leg."""
+
+    group_legs: tuple
+    fan_out: Leg
+
+    @property
+    def hops(self) -> tuple:
+        """Every leg in dispatch order."""
+        return (*self.group_legs, self.fan_out)
+
+    @property
+    def append(self) -> bool:
+        """The last group leg lands each representative on its expert rank,
+        so the fan-out leg keeps it there and appends the other rows."""
+        return bool(self.group_legs) and self.group_legs[-1].to == "expert"
+
+
+#: Every plan kind as one spec row; the only table of hop op names.
+PLAN_SPECS = {
+    "flat": PlanSpec((), Leg("dispatch_a2a", "combine_a2a")),
+    "rbd": PlanSpec(
+        (Leg("rbd_s1_a2a", "rbd_c2_a2a"),),
+        Leg("rbd_s2_a2a", "rbd_c1_a2a", per_node=True),
     ),
+    "hier": PlanSpec(
+        (
+            Leg("hier_gather_a2a", "hier_c_scatter_a2a", per_node=True, to="source leader"),
+            Leg("hier_inter_a2a", "hier_c_inter_a2a", to="dest leader"),
+        ),
+        Leg("hier_scatter_a2a", "hier_c_gather_a2a", per_node=True),
+    ),
+}
+
+#: Per assignment, the rank a leg sends its group's row to, by ``Leg.to``.
+_LANDING = {
+    "expert": lambda planner, a: a.dest,
+    "source leader": lambda planner, a: planner.leader_of[a.rank],
+    "dest leader": lambda planner, a: planner.node_leader[a.node],
 }
 
 
@@ -82,18 +126,21 @@ def _argsort_key(key: np.ndarray, *, tiebreak: bool = False) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     hi = int(key.max())
     if hi < 2**16:
-        return np.argsort(key.astype(np.uint16), kind="stable")
+        return key.astype(np.uint16).argsort(kind="stable")
     if tiebreak:
         if hi < (2**62) // n:
             key = key * n + np.arange(n, dtype=np.int64)
         else:  # compose would overflow int64; fall back to a stable sort
-            return np.argsort(key, kind="stable")
-    return np.argsort(key)
+            return key.argsort(kind="stable")
+    return key.argsort()
+
+
+_ZERO = np.zeros(1, dtype=np.int64)
 
 
 def _bounds(counts: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums: ``[0, c0, c0 + c1, ...]``."""
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    """Exclusive prefix sums of int64 ``counts``: ``[0, c0, c0 + c1, ...]``."""
+    return np.concatenate((_ZERO, counts.cumsum()))
 
 
 def _split(values: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
@@ -122,7 +169,7 @@ class _Assignments:
 class _PlannerBase:
     """Topology bookkeeping and plan-building helpers shared by the planners."""
 
-    kind: str = ""
+    kind: str = ""  # the planner's row of PLAN_SPECS
 
     def __init__(self, group, num_experts: int, expert_to_rank=None):
         self.group = group
@@ -165,9 +212,10 @@ class _PlannerBase:
         self._node_width = int(self.node_group_size.max())
         # Pairwise link tiers between group-local ranks (per-hop accounting).
         self.tier_matrix = topo.tier_matrix(np.asarray(group.ranks, dtype=np.int64))
-        self._experts_by_rank = [
-            np.flatnonzero(self.expert_to_rank == r) for r in range(group.size)
-        ]
+        # Expert ids grouped by hosting rank, ascending within each rank.
+        self._expert_order = np.argsort(expert_to_rank, kind="stable")
+        self._expert_bounds = _bounds(np.bincount(expert_to_rank, minlength=group.size))
+        self._experts_by_rank = _split(self._expert_order, self._expert_bounds)
 
     def experts_on_rank(self, local_rank: int) -> np.ndarray:
         """Global ids of the experts hosted by a group-local rank."""
@@ -202,32 +250,29 @@ class _PlannerBase:
 
     def _hop(
         self,
-        index: int,
+        leg: Leg,
         src: np.ndarray,
         dst: np.ndarray,
         gather: list,
         fold_slot: list,
         fold_perm: list | None = None,
-        *,
-        per_node: bool = False,
         append: bool = False,
     ) -> Hop:
-        """Hop ``index`` of this planner's kind; row ``i`` moves ``src[i] → dst[i]``."""
+        """The hop of ``leg``; row ``i`` moves ``src[i] → dst[i]``."""
         size = self.group.size
-        width = self._node_width if per_node else size
-        peer = self.member_index if per_node else np.arange(size)
+        width = self._node_width if leg.per_node else size
+        peer = self.member_index if leg.per_node else np.arange(size)
         cells = size * width
         send = np.bincount(src * width + peer[dst], minlength=cells).reshape(size, width)
         recv = np.bincount(dst * width + peer[src], minlength=cells).reshape(size, width)
-        if per_node:
+        if leg.per_node:
             widths = self.node_group_size.tolist()
             send_splits = [send[r, :w] for r, w in enumerate(widths)]
             recv_splits = [recv[r, :w] for r, w in enumerate(widths)]
         else:
             send_splits, recv_splits = list(send), list(recv)
-        op, combine_op = HOP_OPS[self.kind][index]
         return Hop(
-            op, combine_op, per_node, gather, send_splits, recv_splits,
+            leg.op, leg.combine_op, leg.per_node, gather, send_splits, recv_splits,
             fold_slot, fold_perm, append,
         )
 
@@ -241,28 +286,26 @@ class _PlannerBase:
         size, num_experts = self.group.size, self.num_experts
         bounds = _bounds(n_dest)
         src, row, expert = a.rank[ids], a.row[ids], a.expert[ids]
-        t_dest = np.repeat(np.arange(size, dtype=np.int64), n_dest)
+        t_dest = a.dest[ids]
         t_local = np.arange(a.total, dtype=np.int64) - bounds[t_dest]
         canon_key = ((t_dest * num_experts + expert) * size + src) * a.max_rows + row
-        expert_counts = np.bincount(
-            t_dest * num_experts + expert, minlength=size * num_experts
-        ).reshape(size, num_experts)
+        per_expert = np.bincount(a.expert, minlength=num_experts)
         return dict(
             arrival_src=_split(src, bounds),
             arrival_row=_split(row, bounds),
             arrival_expert=_split(expert, bounds),
             arrival_weight=_split(a.weight[ids], bounds),
             sort_order=_split(t_local[_argsort_key(canon_key)], bounds),
-            tokens_per_local_expert=[
-                expert_counts[d][self._experts_by_rank[d]] for d in range(size)
-            ],
+            tokens_per_local_expert=_split(
+                per_expert[self._expert_order], self._expert_bounds
+            ),
         )
 
     def _plan(
         self, a: _Assignments, pfts, hops, moves, arrivals, partial_token
     ) -> DispatchPlan:
         """Assemble the plan; ``moves`` holds each hop's ``(src, dst)`` rows."""
-        src_node, dst_node = self.rank_to_node[a.rank], a.node
+        tiers = _rows_by_tier(np.concatenate([self.tier_matrix[s, d] for s, d in moves]))
         return DispatchPlan(
             kind=self.kind,
             size=self.group.size,
@@ -277,191 +320,124 @@ class _PlannerBase:
             **arrivals,
             total_assignments=a.total,
             total_pilots=int(moves[0][0].size),
-            cross_node_assignments=int((dst_node != src_node).sum()),
-            cross_node_pilots=sum(
-                int((self.rank_to_node[s] != self.rank_to_node[d]).sum())
-                for s, d in moves
-            ),
-            dispatch_rows_by_tier=_rows_by_tier(
-                np.concatenate([self.tier_matrix[s, d] for s, d in moves])
-            ),
+            cross_node_assignments=int((self.rank_to_node[a.rank] != a.node).sum()),
+            # A row crosses nodes exactly when its link tier is inter-node
+            # or cross-rack.
+            cross_node_pilots=tiers.get(LinkTier.INTER_NODE, 0)
+            + tiers.get(LinkTier.CROSS_RACK, 0),
+            dispatch_rows_by_tier=tiers,
         )
 
     # ------------------------------------------------------------------
-    def _compile(self, pfts: list, rng: np.random.Generator | None) -> DispatchPlan:
-        """Compile per-rank PFTs into a plan (``rng=None`` = flat dispatch).
+    def _orders(self, src: np.ndarray, dst: np.ndarray):
+        """Send order of rows moving ``src[i] → dst[i]``, and arrival slots.
 
-        Works on one global assignment table; pilot selection and every
-        per-destination / per-source view fall out of a handful of
-        combined-key sorts, bincounts and scatters, so the cost is
-        O(B log B) whole-array work with no per-row Python.
+        Each source sends destination by destination, every run in row
+        order; each destination receives source by source in rank order —
+        member order inside a node — every run in the sender's order.  Both
+        are stable combined-key sorts, so sender and receiver agree row by
+        row.  Returns ``(send order, arrival slot per row, rows per dest)``.
         """
+        size = self.group.size
+        o_send = _argsort_key(src * size + dst, tiebreak=True)
+        o_recv = _argsort_key(dst * size + src, tiebreak=True)
+        n_recv = np.bincount(dst, minlength=size)
+        arrival = np.empty(src.size, dtype=np.int64)
+        arrival[o_recv] = np.arange(src.size, dtype=np.int64) - _bounds(n_recv)[dst[o_recv]]
+        return o_send, arrival, n_recv
+
+    def _compile(self, pfts: list, step: int | None) -> DispatchPlan:
+        """Compile per-rank PFTs into a plan of this planner's spec row."""
         a = self._assignments(pfts)
         size, total = self.group.size, a.total
-        num_nodes, num_experts = self.num_nodes, self.num_experts
+        spec = PLAN_SPECS[self.kind]
 
-        # ---- pilot selection ----------------------------------------
-        if rng is None:  # flat: every assignment is its own pilot
-            g_idx = np.arange(total, dtype=np.int64)
-        elif total == 0:
-            mask = np.zeros(0, dtype=bool)
-            pilot_of_all = np.zeros(0, dtype=np.int64)
-            g_idx = np.zeros(0, dtype=np.int64)
-        else:
-            # One random pilot per (rank, token, node) group: permute rows,
-            # stable-sort the permuted keys, and take each key run's first
-            # element (= a uniform group member).
-            keys0 = (a.rank * a.max_tok + a.token) * num_nodes + a.node
-            perm = rng.permutation(total)
-            order0 = perm[_argsort_key(keys0[perm], tiebreak=True)]
-            sorted_keys = keys0[order0]
-            is_first = np.empty(total, dtype=bool)
-            is_first[0] = True
-            is_first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-            pilot_rows = order0[np.flatnonzero(is_first)]
-            mask = np.zeros(total, dtype=bool)
-            mask[pilot_rows] = True
-            pilot_of_all = np.empty(total, dtype=np.int64)
-            pilot_of_all[order0] = pilot_rows[np.cumsum(is_first) - 1]
-            g_idx = np.flatnonzero(mask)
-        g_src, g_dest = a.rank[g_idx], a.dest[g_idx]
-        sel_bounds = _bounds(np.bincount(g_src, minlength=size))
+        # ---- groups and their representatives -----------------------
+        # Scan the rows grouped by (rank, token, node) key; the first row
+        # of each key run represents its group.
+        key = (a.rank * a.max_tok + a.token) * self.num_nodes + a.node
+        order = self._scan(key, step)
+        sorted_key = key[order]
+        is_first = np.empty(total, dtype=bool)
+        is_first[:1] = True
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=is_first[1:])
+        rep = order[is_first]
+        group = np.empty(total, dtype=np.int64)
+        group[order] = is_first.cumsum() - 1
+        # Group ids ascend with the key: per source rank, the (token, node)
+        # partial groups its final fold sums per token.
+        g_rank = a.rank[rep]
+        g_bounds = _bounds(np.bincount(g_rank, minlength=size))
+        partial = np.arange(rep.size, dtype=np.int64) - g_bounds[g_rank]
 
-        # ---- hop 0 send order ---------------------------------------
-        # Send order on each source is a stable sort by destination (rows
-        # already ascend); one combined-key argsort covers every rank.
-        o_send1 = _argsort_key(g_src * size + g_dest, tiebreak=True)
-        sent_global = g_idx[o_send1]
-
-        # ---- pilot arrival order ------------------------------------
-        # Arrival order at destination d is (source rank, PFT row): the
-        # all-to-all concatenates per-source chunks in rank order and each
-        # source sends its rows in ascending-row order — i.e. a stable
-        # sort by destination alone, since the sent table is already
-        # (src, row)-major.
-        order = _argsort_key(g_dest, tiebreak=True)
-        p_dest = g_dest[order]
-        pilot_counts = np.bincount(p_dest, minlength=size)
-
-        # ---- hop 0 fold: returned rows onto (token, node) partials --
-        # One global sort with the source rank as the outermost key;
-        # per-rank views fall out of the (rank-major) group ids.
-        k_rank = g_src[o_send1]
-        keys = (k_rank * a.max_tok + a.token[sent_global]) * num_nodes + a.node[
-            sent_global
-        ]
-        if rng is not None:
-            # RBD sends one row per (rank, token, node) group, so the keys
-            # are unique: the fold is a pure reorder by group id.
-            order_k = _argsort_key(keys)
-            uniq = keys[order_k]
-            inv = np.empty(keys.size, dtype=np.int64)
-            inv[order_k] = np.arange(keys.size)
-        else:
-            uniq, inv = np.unique(keys, return_inverse=True)
-            # Fold order (group, expert): experts are unique within a group.
-            o_fold = _argsort_key(inv * num_experts + a.expert[sent_global])
-        group_bounds = _bounds(
-            np.bincount(uniq // (a.max_tok * num_nodes), minlength=size)
-        )
-        local_group = inv - group_bounds[k_rank]
-        partial_token = _split((uniq // num_nodes) % a.max_tok, group_bounds)
-        if rng is None:
-            fold0 = (
-                _split(local_group[o_fold], sel_bounds),
-                _split(o_fold - sel_bounds[k_rank[o_fold]], sel_bounds),
+        # ---- group legs: one row per group, reorder folds -----------
+        # Each row is held on a rank at a buffer position and folds back
+        # onto a slot: first its source, PFT row and partial group; after a
+        # group leg, where the leg delivered the group's representative.
+        held, pos, slot = a.rank, a.row, partial[group]
+        hops, moves = [], []
+        for leg in spec.group_legs:
+            src, dst = held[rep], _LANDING[leg.to](self, a)[rep]
+            o_send, arrival, _ = self._orders(src, dst)
+            sent = _bounds(np.bincount(src, minlength=size))
+            hops.append(
+                self._hop(
+                    leg, src, dst,
+                    _split(pos[rep][o_send], sent), _split(slot[rep][o_send], sent),
+                )
             )
-        else:
-            fold0 = (_split(local_group, sel_bounds), None)
-        hops = [self._hop(0, g_src, g_dest, _split(a.row[sent_global], sel_bounds), *fold0)]
-        moves = [(g_src, g_dest)]
+            moves.append((src, dst))
+            held, pos = dst[group], arrival[group]
+            slot = pos
 
-        if rng is None:
-            return self._plan(
-                a, pfts, hops, moves, self._arrivals(a, g_idx[order], pilot_counts),
-                partial_token,
-            )
-
-        # ---- hop 1: replicas copied off their pilot, intra-node -----
-        # ``slot_of`` scatters each pilot's arrival slot to its global
-        # assignment id; this is the vectorized index that replaces the
-        # seed's per-destination dict slot-maps.
-        pil_local = np.arange(p_dest.size, dtype=np.int64) - _bounds(pilot_counts)[p_dest]
-        slot_of = np.empty(total, dtype=np.int64)
-        slot_of[g_idx[order]] = pil_local
-        rep_idx = np.flatnonzero(~mask)
-        pil_global = pilot_of_all[rep_idx]
-        r_pr, r_dr = a.dest[pil_global], a.dest[rep_idx]
-        # Pilot-slot index: one gather through ``slot_of`` instead of a
-        # per-replica dict lookup / linear scan.
-        r_slot = slot_of[pil_global]
-        r_pm = self.member_index[r_pr]  # pilot holder's node-member index
-        r_dm = self.member_index[r_dr]  # replica destination's index
-        mm = self._node_width
-        max_pilots = int(pilot_counts.max()) + 1 if pilot_counts.size else 1
-
-        # Send order on each pilot-holding rank: rows ordered by
-        # (destination member, pilot slot) with (src, row) ties kept by the
-        # composed position tie-break (the replica table is (src, row)-ordered).
-        o_send = _argsort_key(
-            (r_pr * (mm + 1) + r_dm) * max_pilots + r_slot, tiebreak=True
-        )
-        pr_counts = np.bincount(r_pr, minlength=size)
-        s_slot, s_rank = r_slot[o_send], r_pr[o_send]
-
-        # Fold on each pilot holder: the reversed hop returns the replica
-        # outputs in exactly its send order, so the contributions are
-        # [own pilot outputs ++ returned replicas] with target slots
-        # [0..P) ++ s_slot; folding them sorted by (slot, expert)
-        # reproduces the flat oracle's per-(token, node) summation order
-        # (experts are unique within a (rank, slot) group, so the combined
-        # key is a total order).
-        rep_local = (
-            pilot_counts[s_rank]
-            + np.arange(s_rank.size, dtype=np.int64)
-            - _bounds(pr_counts)[s_rank]
-        )
-        c_rank = np.concatenate([p_dest, s_rank])
-        c_local = np.concatenate([pil_local, rep_local])
-        c_slot = np.concatenate([pil_local, s_slot])
-        c_expert = np.concatenate([a.expert[g_idx[order]], a.expert[rep_idx[o_send]]])
-        o_merge = _argsort_key((c_rank * max_pilots + c_slot) * num_experts + c_expert)
-        contrib_bounds = _bounds(pilot_counts + pr_counts)
+        # ---- fan-out leg: one row per assignment, sum folds ---------
+        # Each assignment contributes once to its holder's fold: kept in
+        # place (an appending leg's representatives) or sent and returned.
+        append = spec.append
+        kept = rep if append else rep[:0]
+        travels = np.ones(total, dtype=bool)
+        travels[kept] = False
+        fan = travels.nonzero()[0]
+        src, dst = held[fan], a.dest[fan]
+        o_send, arrival, n_recv = self._orders(src, dst)
+        n_held, n_sent = np.bincount(held, minlength=size), np.bincount(src, minlength=size)
+        n_kept = n_held - n_sent
+        sent = _bounds(n_sent)
+        s_src, s_fan = src[o_send], fan[o_send]
+        # The reversed leg returns each sender its send order after the
+        # kept rows, which stay at their buffer rows; the fold sums them
+        # onto their slots in (slot, expert) order — the flat association
+        # order, and a total order because experts are unique in a group.
+        local = pos.copy()
+        local[s_fan] = n_kept[s_src] + np.arange(fan.size, dtype=np.int64) - sent[s_src]
+        width = int(slot.max(initial=0)) + 1
+        o_fold = _argsort_key((held * width + slot) * self.num_experts + a.expert)
+        contrib = _bounds(n_held)
         hops.append(
             self._hop(
-                1, r_pr, r_dr,
-                _split(s_slot, _bounds(pr_counts)),
-                _split(c_slot[o_merge], contrib_bounds),
-                _split(c_local[o_merge], contrib_bounds),
-                per_node=True,
-                append=True,
+                spec.fan_out, src, dst, _split(pos[s_fan], sent),
+                _split(slot[o_fold], contrib), _split(local[o_fold], contrib), append,
             )
         )
-        moves.append((r_pr, r_dr))
+        moves.append((src, dst))
 
-        # Arrival order on each replica destination: the intra-node
-        # all-to-all concatenates sender chunks in member order, each chunk
-        # ordered by (slot, src, row) — the same tie-break as the send
-        # order, so sender and receiver agree row by row.  Replicas follow
-        # the pilots in every destination buffer.
-        o_arr = _argsort_key(
-            (r_dr * (mm + 1) + r_pm) * max_pilots + r_slot, tiebreak=True
-        )
-        dr_counts = np.bincount(r_dr, minlength=size)
-        n_dest = pilot_counts + dr_counts
-        dest_bounds = _bounds(n_dest)
-        a_dest = r_dr[o_arr]
+        # ---- arrival tables: kept rows, then the fan-out's arrivals --
+        n_dest = n_kept + n_recv
+        dest = _bounds(n_dest)
         ids = np.empty(total, dtype=np.int64)
-        ids[dest_bounds[p_dest] + pil_local] = g_idx[order]
-        ids[
-            dest_bounds[a_dest]
-            + pilot_counts[a_dest]
-            + np.arange(a_dest.size, dtype=np.int64)
-            - _bounds(dr_counts)[a_dest]
-        ] = rep_idx[o_arr]
-        return self._plan(
-            a, pfts, hops, moves, self._arrivals(a, ids, n_dest), partial_token
-        )
+        ids[dest[held[kept]] + pos[kept]] = kept
+        ids[dest[dst] + n_kept[dst] + arrival] = fan
+        arrivals = self._arrivals(a, ids, n_dest)
+        return self._plan(a, pfts, hops, moves, arrivals, _split(a.token[rep], g_bounds))
+
+    def _scan(self, key: np.ndarray, step: int | None) -> np.ndarray:
+        """Rows grouped by ``key``, each group's rows ascending: the first
+        row of a group is its lowest."""
+        return _argsort_key(key, tiebreak=True)
+
+    def build(self, pfts: list, *, step: int | None = None) -> DispatchPlan:
+        """Compile per-rank PFTs into a plan (``step`` salts RBD's draw)."""
+        return self._compile(pfts, step)
 
 
 class FlatPlanner(_PlannerBase):
@@ -473,17 +449,14 @@ class FlatPlanner(_PlannerBase):
 
     kind = "flat"
 
-    def build(self, pfts: list, *, step: int | None = None) -> DispatchPlan:
-        """Compile per-rank PFTs into a flat plan (``step`` is unused)."""
-        return self._compile(pfts, rng=None)
-
 
 class RBDPlanner(_PlannerBase):
     """Two-stage redundancy-bypassing dispatch (§4.2 of the paper).
 
-    Only one *pilot* row per (token, destination node) group crosses the
-    inter-node links; replicas are reconstructed from the pilot's data on
-    the destination node and exchanged intra-node.
+    Only one *pilot* row per (token, destination node) group — a uniform
+    member, drawn from ``(seed, step)`` — crosses the inter-node links, to
+    the rank of its own expert; that rank copies it to the group's other
+    experts over the intra-node links.
     """
 
     kind = "rbd"
@@ -492,148 +465,24 @@ class RBDPlanner(_PlannerBase):
         super().__init__(group, num_experts, expert_to_rank)
         self.seed = seed
 
-    def _rng(self, step: int | None) -> np.random.Generator:
-        if step is None:
-            return np.random.default_rng(self.seed)
-        return np.random.default_rng((self.seed, int(step)))
-
-    def build(self, pfts: list, *, step: int | None = None) -> DispatchPlan:
-        """Compile per-rank PFTs into an RBD plan (pilots drawn from ``step``)."""
-        return self._compile(pfts, rng=self._rng(step))
+    def _scan(self, key: np.ndarray, step: int | None) -> np.ndarray:
+        """The rows permuted by a draw from ``(seed, step)``, then grouped:
+        the first row of a group is a uniform member."""
+        salt = self.seed if step is None else (self.seed, int(step))
+        perm = np.random.default_rng(salt).permutation(key.size)
+        return perm[super()._scan(key[perm], step)]
 
 
 class HierarchicalPlanner(_PlannerBase):
     """Two-level hierarchical dispatch through per-node leaders.
 
-    ColossalAI-style hierarchical all-to-all recast as a planner: tokens are
-    (1) gathered intra-node onto a per-node *leader* over the fast
-    NVLink/XGMI tier, (2) exchanged in one leader-to-leader alltoallv over
-    the inter-node tier, and (3) scattered intra-node to the rank hosting
-    the selected expert — with the combine path running the same three hops
-    in reverse.  Each ``(source rank, token, destination node)`` group
-    crosses the inter-node links exactly once (deterministically — the
-    group's lowest PFT row is the one that travels; no RNG, unlike RBD's
-    random pilots), so inter-node bytes match RBD while the exchange itself
-    is aggregated into one large message per node pair.
-
-    The arrival tables and combine fold orders use the same canonical
-    ``(expert, src, row)`` total order as :class:`FlatPlanner`, and the
-    destination-leader fold sums each group's contributions in ascending
-    expert order — exactly the flat oracle's association order — so the
-    combined output is **bit-identical to flat** for every router policy,
-    including non-rectangular expert-choice selections.
+    ColossalAI-style hierarchical all-to-all recast as a planner: each
+    group's lowest PFT row is (1) gathered onto its node *leader* over the
+    fast intra-node tier, (2) exchanged in one leader-to-leader alltoallv
+    over the inter-node tier, and (3) fanned out from the destination
+    leader to every expert of its group — the combine path runs the three
+    hops in reverse.  Inter-node bytes match RBD, with no RNG, while the
+    exchange is aggregated into one large message per node pair.
     """
 
     kind = "hier"
-
-    def build(self, pfts: list, *, step: int | None = None) -> DispatchPlan:
-        """Compile per-rank PFTs into a three-hop plan (``step`` is unused)."""
-        return self._compile_hier(pfts)
-
-    # ------------------------------------------------------------------
-    def _compile_hier(self, pfts: list) -> DispatchPlan:
-        """Build the three-hop plan from one global assignment table.
-
-        All bookkeeping falls out of combined-key argsorts and bincounts
-        over flat arrays: the only Python loops run over ranks or nodes,
-        never over rows.
-        """
-        a = self._assignments(pfts)
-        size, total = self.group.size, a.total
-        num_nodes, num_experts = self.num_nodes, self.num_experts
-        mm = self._node_width
-        leader_of = self.leader_of
-
-        # ---- dedup: one travelling row per (src, token, dest node) --
-        # The group key is token-major per rank — the same key the flat
-        # planner uses for its combine partial groups, so ``partial_token``
-        # is identical across all three plan kinds.
-        uniq, inv = np.unique(
-            (a.rank * a.max_tok + a.token) * num_nodes + a.node, return_inverse=True
-        )
-        num_groups = uniq.size
-        g_rank = uniq // (a.max_tok * num_nodes)
-        g_token = (uniq // num_nodes) % a.max_tok
-        g_node = uniq % num_nodes
-        rep_row = np.full(num_groups, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(rep_row, inv, a.row)
-        g_counts = np.bincount(g_rank, minlength=size)
-        g_bounds = _bounds(g_counts)
-
-        # ---- hop A: members gather onto their node leader -----------
-        # Send order per source is (dest node, token); every row goes to
-        # the node leader (member 0), so the leader's buffer is the
-        # member-order concatenation of those per-member runs.  The fold
-        # reorders the returned rows into partial-group id order.
-        o_hA = _argsort_key((g_rank * num_nodes + g_node) * a.max_tok + g_token)
-        g_localid = np.arange(num_groups, dtype=np.int64) - g_bounds[g_rank]
-        g_sleader = leader_of[g_rank]
-        hops = [
-            self._hop(
-                0, g_rank, g_sleader,
-                _split(rep_row[o_hA], g_bounds),
-                _split(g_localid[o_hA], g_bounds),
-                per_node=True,
-            )
-        ]
-        hA_pos = np.empty(num_groups, dtype=np.int64)
-        hA_pos[o_hA] = np.arange(num_groups, dtype=np.int64) - g_bounds[g_rank[o_hA]]
-        member_offset = np.zeros(size, dtype=np.int64)
-        for members in self.node_members:
-            member_offset[members] = np.cumsum(g_counts[members]) - g_counts[members]
-        # Slot of each group in its source-node leader's hop-A buffer.
-        a_pos = member_offset[g_rank] + hA_pos
-
-        # ---- hop B: one leader-to-leader exchange -------------------
-        g_dleader = self.node_leader[g_node]
-        max_a = int(a_pos.max(initial=0)) + 1
-        o_hB = _argsort_key((g_sleader * size + g_dleader) * max_a + a_pos)
-        hB_perm = _split(a_pos[o_hB], _bounds(np.bincount(g_sleader, minlength=size)))
-        hops.append(self._hop(1, g_sleader, g_dleader, hB_perm, hB_perm))
-        # Slot of each group in its dest-node leader's hop-B arrival buffer
-        # (chunks concatenate in source-leader rank order).
-        o_arrB = _argsort_key((g_dleader * size + g_sleader) * max_a + a_pos)
-        dl_bounds = _bounds(np.bincount(g_dleader, minlength=size))
-        b_pos = np.empty(num_groups, dtype=np.int64)
-        b_pos[o_arrB] = np.arange(num_groups, dtype=np.int64) - dl_bounds[g_dleader[o_arrB]]
-
-        # ---- hop C: dest leader scatters one row per assignment -----
-        # Send order is (dest member, src rank, token, expert): members get
-        # contiguous chunks and each chunk matches the destination's
-        # arrival-table order below.
-        dleader_all = leader_of[a.dest]
-        sub = (a.rank * a.max_tok + a.token) * num_experts + a.expert
-        max_sub = int(sub.max(initial=0)) + 1
-        o_hC = _argsort_key(
-            (dleader_all * mm + self.member_index[a.dest]) * max_sub + sub
-        )
-        cl_bounds = _bounds(np.bincount(dleader_all, minlength=size))
-        # The reversed hop returns each leader its hop-C send order.
-        # Folding those rows onto hop-B slots sorted by (slot, expert) sums
-        # every (token, node) group in ascending expert order, the flat
-        # oracle's association order.
-        posC = np.empty(total, dtype=np.int64)
-        posC[o_hC] = np.arange(total, dtype=np.int64) - cl_bounds[dleader_all[o_hC]]
-        slot_b = b_pos[inv]
-        max_b = int(b_pos.max(initial=0)) + 1
-        o_fold = _argsort_key((dleader_all * max_b + slot_b) * num_experts + a.expert)
-        hops.append(
-            self._hop(
-                2, dleader_all, a.dest,
-                _split(slot_b[o_hC], cl_bounds),
-                _split(slot_b[o_fold], cl_bounds),
-                _split(posC[o_fold], cl_bounds),
-                per_node=True,
-            )
-        )
-        moves = [(g_rank, g_sleader), (g_sleader, g_dleader), (dleader_all, a.dest)]
-
-        # ---- arrival tables -----------------------------------------
-        # Arrival order at destination d is (src rank, token, expert) —
-        # the order hop C delivers.
-        arrivals = self._arrivals(
-            a, _argsort_key(a.dest * max_sub + sub), np.bincount(a.dest, minlength=size)
-        )
-        return self._plan(
-            a, pfts, hops, moves, arrivals, _split(g_token, g_bounds)
-        )

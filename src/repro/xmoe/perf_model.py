@@ -154,6 +154,7 @@ class MoEPerformanceModel:
         #: rotary embeddings, optimizer bookkeeping) per layer, expressed as
         #: the number of full [tokens, H] tensor traversals it costs.
         self.elementwise_traversals_per_layer = 60.0
+        self._estimates: dict[str, list[TransferEstimate]] = {}
 
     # ------------------------------------------------------------------
     # Helpers
@@ -222,6 +223,12 @@ class MoEPerformanceModel:
         per-candidate inter-node traffic accounting.
         """
         kind = self._effective_dispatch(dispatch=dispatch)
+        if kind not in self._estimates:  # priced once per model and dispatch kind
+            self._estimates[kind] = self._price_dispatch(kind)
+        return list(self._estimates[kind])
+
+    def _price_dispatch(self, kind: str) -> list[TransferEstimate]:
+        """The per-hop estimates :meth:`dispatch_comm_estimates` caches."""
         bytes_per_rank = self._a2a_bytes_per_rank()
         ranks = self._ep_group_ranks()
         if kind == "flat":

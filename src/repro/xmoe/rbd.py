@@ -1,42 +1,20 @@
-"""Hierarchical Redundancy-Bypassing Dispatch (RBD), §4.2.
+"""Redundancy-bypassing dispatch (RBD, §4.2): the redundancy analysis.
 
-With large top-k routing, a token frequently selects several experts that
-live on the *same* destination node.  A flat all-to-all sends one copy of the
-token's activation per selected expert, so the slow inter-node links carry
-duplicated data.  RBD splits dispatch into stages:
+With large top-k routing a token often selects several experts on one
+destination node, and a flat all-to-all sends one copy of its activation
+per expert over the slow inter-node links.  RBD sends one *pilot* row per
+(token, destination node) group across nodes, to the rank of the pilot's
+own expert, which copies it to the group's other experts over the fast
+intra-node links; combine runs the same hops in reverse, bit-identical to
+flat dispatch.
 
-* **Stage 0** — on the source rank, group each token's assignments by
-  destination node; in every (token, node) group pick one *pilot* at random
-  and mark the rest *local replicas*.
-* **Stage 1** — only pilot tokens travel across nodes (uneven all-to-all to
-  the rank hosting the pilot's expert).
-* **Stage 2** — on the destination node, replica rows are reconstructed by
-  copying their pilot's data and exchanged over the fast intra-node links to
-  the ranks hosting the replicas' experts.
-
-The combine stage reverses the process: replica outputs are scaled by their
-combine weights and merged onto their pilot's row intra-node, then a single
-row per (token, node) group returns inter-node, and the source adds it into
-the output sequence.  Because the plan engine folds the partial sums in the
-same order on both paths, this produces **bit-identical** results to the
-flat dispatch while moving only the non-redundant rows across nodes.
-
-This module holds the redundancy analysis behind Fig. 4.  The dispatch
-itself is ``make_dispatcher(group, num_experts, kind="rbd")`` in
-:mod:`repro.routing`: a :class:`repro.routing.RBDPlanner` compiles all
-bookkeeping (send orders, splits, arrival tables, pilot-slot indices, merge
-orders) once per step into a :class:`repro.routing.DispatchPlan` of flat
-numpy arrays, which a :class:`repro.routing.PlanDispatcher` executes over
-the :class:`~repro.comm.process_group.ProcessGroup` collectives, so the
-recorded communication statistics reflect the inter- vs intra-node byte
-split.  ``plan.stats_dict(row_bytes)`` reports pilots, replicas and the
-redundancy rate of the plan a dispatch used.
-
-Determinism: pilot selection derives a fresh generator from ``(seed, step)``
-on every plan build, so dispatching the same PFTs twice with the same
-``step`` (or the default ``step=None``) picks the same pilots.  Pass an
-incrementing ``step`` to decorrelate pilot choices across training steps
-while keeping each step reproducible.
+The dispatch itself is ``make_dispatcher(group, num_experts, kind="rbd")``
+in :mod:`repro.routing`: the ``"rbd"`` row of
+:data:`repro.routing.planner.PLAN_SPECS` (a group leg of pilots, then an
+appending intra-node fan-out), compiled by the one planner function that
+also builds flat and hierarchical plans, with pilots drawn from
+``(seed, step)`` on every build.  This module holds the analysis behind
+Fig. 4.
 """
 
 from __future__ import annotations

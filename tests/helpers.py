@@ -477,3 +477,321 @@ def reference_sweep_best_config(
         if best is None or result.tflops_per_gpu > best.tflops_per_gpu:
             best = result
     return best or least_oom
+
+
+# ----------------------------------------------------------------------
+# Reference planners: flat, RBD and hier as separate code paths
+# ----------------------------------------------------------------------
+# The library compiles every dispatch kind with one function that reads the
+# kind's spec row.  Below are the two functions that did it before — one
+# for flat and RBD (``rng=None`` is flat), one for hier — kept as oracles.
+# They borrow the planner's assignment-table, arrival-table and plan
+# helpers and its topology; the op names are their own table.  Plans the
+# library builds must agree with them on everything the engine, the comm
+# accounting and the statistics read; only the internal orders (hop
+# ``gather`` arrays, the arrival order before ``sort_order``) may differ.
+
+#: ``(dispatch op, combine op)`` of every hop, in dispatch order, per kind.
+REFERENCE_HOP_OPS = {
+    "flat": (("dispatch_a2a", "combine_a2a"),),
+    "rbd": (("rbd_s1_a2a", "rbd_c2_a2a"), ("rbd_s2_a2a", "rbd_c1_a2a")),
+    "hier": (
+        ("hier_gather_a2a", "hier_c_scatter_a2a"),
+        ("hier_inter_a2a", "hier_c_inter_a2a"),
+        ("hier_scatter_a2a", "hier_c_gather_a2a"),
+    ),
+}
+
+
+def reference_plan(kind, planner, pfts, step=None):
+    """The plan ``planner`` builds from ``pfts``, by the pre-spec code path."""
+    if kind == "hier":
+        return _reference_compile_hier(planner, pfts)
+    rng = None
+    if kind == "rbd":
+        seed = planner.seed
+        rng = np.random.default_rng(seed if step is None else (seed, int(step)))
+    return _reference_compile(planner, kind, pfts, rng)
+
+
+def _reference_hop(
+    planner, kind, index, src, dst, gather, fold_slot, fold_perm=None, *,
+    per_node=False, append=False,
+):
+    from repro.routing.plan import Hop
+
+    size = planner.group.size
+    width = planner._node_width if per_node else size
+    peer = planner.member_index if per_node else np.arange(size)
+    cells = size * width
+    send = np.bincount(src * width + peer[dst], minlength=cells).reshape(size, width)
+    recv = np.bincount(dst * width + peer[src], minlength=cells).reshape(size, width)
+    if per_node:
+        widths = planner.node_group_size.tolist()
+        send_splits = [send[r, :w] for r, w in enumerate(widths)]
+        recv_splits = [recv[r, :w] for r, w in enumerate(widths)]
+    else:
+        send_splits, recv_splits = list(send), list(recv)
+    op, combine_op = REFERENCE_HOP_OPS[kind][index]
+    return Hop(
+        op, combine_op, per_node, gather, send_splits, recv_splits,
+        fold_slot, fold_perm, append,
+    )
+
+
+def _reference_compile(planner, kind, pfts, rng):
+    """Flat (``rng=None``) and RBD plans: a group hop, then RBD's node hop."""
+    from repro.routing.planner import _argsort_key, _bounds, _split
+
+    self = planner
+    a = self._assignments(pfts)
+    size, total = self.group.size, a.total
+    num_nodes, num_experts = self.num_nodes, self.num_experts
+
+    # ---- pilot selection ----------------------------------------
+    if rng is None:  # flat: every assignment is its own pilot
+        g_idx = np.arange(total, dtype=np.int64)
+    elif total == 0:
+        mask = np.zeros(0, dtype=bool)
+        pilot_of_all = np.zeros(0, dtype=np.int64)
+        g_idx = np.zeros(0, dtype=np.int64)
+    else:
+        # One random pilot per (rank, token, node) group.
+        keys0 = (a.rank * a.max_tok + a.token) * num_nodes + a.node
+        perm = rng.permutation(total)
+        order0 = perm[_argsort_key(keys0[perm], tiebreak=True)]
+        sorted_keys = keys0[order0]
+        is_first = np.empty(total, dtype=bool)
+        is_first[0] = True
+        is_first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        pilot_rows = order0[np.flatnonzero(is_first)]
+        mask = np.zeros(total, dtype=bool)
+        mask[pilot_rows] = True
+        pilot_of_all = np.empty(total, dtype=np.int64)
+        pilot_of_all[order0] = pilot_rows[np.cumsum(is_first) - 1]
+        g_idx = np.flatnonzero(mask)
+    g_src, g_dest = a.rank[g_idx], a.dest[g_idx]
+    sel_bounds = _bounds(np.bincount(g_src, minlength=size))
+
+    # ---- hop 0 send order and pilot arrival order ---------------
+    o_send1 = _argsort_key(g_src * size + g_dest, tiebreak=True)
+    sent_global = g_idx[o_send1]
+    order = _argsort_key(g_dest, tiebreak=True)
+    p_dest = g_dest[order]
+    pilot_counts = np.bincount(p_dest, minlength=size)
+
+    # ---- hop 0 fold: returned rows onto (token, node) partials --
+    k_rank = g_src[o_send1]
+    keys = (k_rank * a.max_tok + a.token[sent_global]) * num_nodes + a.node[sent_global]
+    if rng is not None:
+        order_k = _argsort_key(keys)
+        uniq = keys[order_k]
+        inv = np.empty(keys.size, dtype=np.int64)
+        inv[order_k] = np.arange(keys.size)
+    else:
+        uniq, inv = np.unique(keys, return_inverse=True)
+        o_fold = _argsort_key(inv * num_experts + a.expert[sent_global])
+    group_bounds = _bounds(np.bincount(uniq // (a.max_tok * num_nodes), minlength=size))
+    local_group = inv - group_bounds[k_rank]
+    partial_token = _split((uniq // num_nodes) % a.max_tok, group_bounds)
+    if rng is None:
+        fold0 = (
+            _split(local_group[o_fold], sel_bounds),
+            _split(o_fold - sel_bounds[k_rank[o_fold]], sel_bounds),
+        )
+    else:
+        fold0 = (_split(local_group, sel_bounds), None)
+    hops = [
+        _reference_hop(
+            self, kind, 0, g_src, g_dest, _split(a.row[sent_global], sel_bounds), *fold0
+        )
+    ]
+    moves = [(g_src, g_dest)]
+    if rng is None:
+        return self._plan(
+            a, pfts, hops, moves, self._arrivals(a, g_idx[order], pilot_counts),
+            partial_token,
+        )
+
+    # ---- hop 1: replicas copied off their pilot, intra-node -----
+    pil_local = np.arange(p_dest.size, dtype=np.int64) - _bounds(pilot_counts)[p_dest]
+    slot_of = np.empty(total, dtype=np.int64)
+    slot_of[g_idx[order]] = pil_local
+    rep_idx = np.flatnonzero(~mask)
+    pil_global = pilot_of_all[rep_idx]
+    r_pr, r_dr = a.dest[pil_global], a.dest[rep_idx]
+    r_slot = slot_of[pil_global]
+    r_pm = self.member_index[r_pr]
+    r_dm = self.member_index[r_dr]
+    mm = self._node_width
+    max_pilots = int(pilot_counts.max()) + 1 if pilot_counts.size else 1
+    o_send = _argsort_key((r_pr * (mm + 1) + r_dm) * max_pilots + r_slot, tiebreak=True)
+    pr_counts = np.bincount(r_pr, minlength=size)
+    s_slot, s_rank = r_slot[o_send], r_pr[o_send]
+    rep_local = (
+        pilot_counts[s_rank]
+        + np.arange(s_rank.size, dtype=np.int64)
+        - _bounds(pr_counts)[s_rank]
+    )
+    c_rank = np.concatenate([p_dest, s_rank])
+    c_local = np.concatenate([pil_local, rep_local])
+    c_slot = np.concatenate([pil_local, s_slot])
+    c_expert = np.concatenate([a.expert[g_idx[order]], a.expert[rep_idx[o_send]]])
+    o_merge = _argsort_key((c_rank * max_pilots + c_slot) * num_experts + c_expert)
+    contrib_bounds = _bounds(pilot_counts + pr_counts)
+    hops.append(
+        _reference_hop(
+            self, kind, 1, r_pr, r_dr,
+            _split(s_slot, _bounds(pr_counts)),
+            _split(c_slot[o_merge], contrib_bounds),
+            _split(c_local[o_merge], contrib_bounds),
+            per_node=True,
+            append=True,
+        )
+    )
+    moves.append((r_pr, r_dr))
+    o_arr = _argsort_key((r_dr * (mm + 1) + r_pm) * max_pilots + r_slot, tiebreak=True)
+    dr_counts = np.bincount(r_dr, minlength=size)
+    n_dest = pilot_counts + dr_counts
+    dest_bounds = _bounds(n_dest)
+    a_dest = r_dr[o_arr]
+    ids = np.empty(total, dtype=np.int64)
+    ids[dest_bounds[p_dest] + pil_local] = g_idx[order]
+    ids[
+        dest_bounds[a_dest]
+        + pilot_counts[a_dest]
+        + np.arange(a_dest.size, dtype=np.int64)
+        - _bounds(dr_counts)[a_dest]
+    ] = rep_idx[o_arr]
+    return self._plan(a, pfts, hops, moves, self._arrivals(a, ids, n_dest), partial_token)
+
+
+def _reference_compile_hier(planner, pfts):
+    """Hier plans: node gather, leader exchange, node scatter."""
+    from repro.routing.planner import _argsort_key, _bounds, _split
+
+    self = planner
+    a = self._assignments(pfts)
+    size, total = self.group.size, a.total
+    num_nodes, num_experts = self.num_nodes, self.num_experts
+    mm = self._node_width
+    leader_of = self.leader_of
+
+    # ---- dedup: one travelling row per (src, token, dest node) --
+    uniq, inv = np.unique(
+        (a.rank * a.max_tok + a.token) * num_nodes + a.node, return_inverse=True
+    )
+    num_groups = uniq.size
+    g_rank = uniq // (a.max_tok * num_nodes)
+    g_token = (uniq // num_nodes) % a.max_tok
+    g_node = uniq % num_nodes
+    rep_row = np.full(num_groups, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(rep_row, inv, a.row)
+    g_counts = np.bincount(g_rank, minlength=size)
+    g_bounds = _bounds(g_counts)
+
+    # ---- hop A: members gather onto their node leader -----------
+    o_hA = _argsort_key((g_rank * num_nodes + g_node) * a.max_tok + g_token)
+    g_localid = np.arange(num_groups, dtype=np.int64) - g_bounds[g_rank]
+    g_sleader = leader_of[g_rank]
+    hops = [
+        _reference_hop(
+            self, "hier", 0, g_rank, g_sleader,
+            _split(rep_row[o_hA], g_bounds),
+            _split(g_localid[o_hA], g_bounds),
+            per_node=True,
+        )
+    ]
+    hA_pos = np.empty(num_groups, dtype=np.int64)
+    hA_pos[o_hA] = np.arange(num_groups, dtype=np.int64) - g_bounds[g_rank[o_hA]]
+    member_offset = np.zeros(size, dtype=np.int64)
+    for members in self.node_members:
+        member_offset[members] = np.cumsum(g_counts[members]) - g_counts[members]
+    a_pos = member_offset[g_rank] + hA_pos
+
+    # ---- hop B: one leader-to-leader exchange -------------------
+    g_dleader = self.node_leader[g_node]
+    max_a = int(a_pos.max(initial=0)) + 1
+    o_hB = _argsort_key((g_sleader * size + g_dleader) * max_a + a_pos)
+    hB_perm = _split(a_pos[o_hB], _bounds(np.bincount(g_sleader, minlength=size)))
+    hops.append(_reference_hop(self, "hier", 1, g_sleader, g_dleader, hB_perm, hB_perm))
+    o_arrB = _argsort_key((g_dleader * size + g_sleader) * max_a + a_pos)
+    dl_bounds = _bounds(np.bincount(g_dleader, minlength=size))
+    b_pos = np.empty(num_groups, dtype=np.int64)
+    b_pos[o_arrB] = np.arange(num_groups, dtype=np.int64) - dl_bounds[g_dleader[o_arrB]]
+
+    # ---- hop C: dest leader scatters one row per assignment -----
+    dleader_all = leader_of[a.dest]
+    sub = (a.rank * a.max_tok + a.token) * num_experts + a.expert
+    max_sub = int(sub.max(initial=0)) + 1
+    o_hC = _argsort_key((dleader_all * mm + self.member_index[a.dest]) * max_sub + sub)
+    cl_bounds = _bounds(np.bincount(dleader_all, minlength=size))
+    posC = np.empty(total, dtype=np.int64)
+    posC[o_hC] = np.arange(total, dtype=np.int64) - cl_bounds[dleader_all[o_hC]]
+    slot_b = b_pos[inv]
+    max_b = int(b_pos.max(initial=0)) + 1
+    o_fold = _argsort_key((dleader_all * max_b + slot_b) * num_experts + a.expert)
+    hops.append(
+        _reference_hop(
+            self, "hier", 2, dleader_all, a.dest,
+            _split(slot_b[o_hC], cl_bounds),
+            _split(slot_b[o_fold], cl_bounds),
+            _split(posC[o_fold], cl_bounds),
+            per_node=True,
+        )
+    )
+    moves = [(g_rank, g_sleader), (g_sleader, g_dleader), (dleader_all, a.dest)]
+    arrivals = self._arrivals(
+        a, _argsort_key(a.dest * max_sub + sub), np.bincount(a.dest, minlength=size)
+    )
+    return self._plan(a, pfts, hops, moves, arrivals, _split(g_token, g_bounds))
+
+
+def verify_program(program, plan):
+    """Assert a fused :class:`ExecProgram` agrees with the plan it fuses.
+
+    Reads the program's own index maps: per destination, the canonical
+    slots must hold the plan's arrival rows in ``sort_order`` (source, PFT
+    row, expert and fold weight alike) and gather those rows' tokens; the
+    first-level fold must segment exactly the plan's ``(token, node)``
+    partial groups, rank by rank, in ``partial_token`` order.
+    """
+    pfts = plan.pfts
+    sizes = np.array([p.num_routed_tokens for p in pfts], dtype=np.int64)
+    row_off = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    src = np.repeat(np.arange(len(pfts), dtype=np.int64), sizes)
+    tok = np.concatenate([np.zeros(0, np.int64)] + [p.token_ids for p in pfts])
+    exp = np.concatenate([np.zeros(0, np.int64)] + [p.expert_ids for p in pfts])
+    # Global PFT row and fold weight of every canonical slot.
+    canon = program.fold_pft_rows[program.fold_scatter]
+    weight = program.fold_w[program.fold_scatter]
+    for d in range(len(pfts)):
+        lo, hi = program.dest_off[d], program.dest_off[d + 1]
+        sl, order = canon[lo:hi], plan.sort_order[d]
+        if not (
+            np.array_equal(src[sl], plan.arrival_src[d][order])
+            and np.array_equal(sl - row_off[src[sl]], plan.arrival_row[d][order])
+            and np.array_equal(exp[sl], plan.arrival_expert[d][order])
+            and np.array_equal(weight[lo:hi], plan.arrival_weight[d][order])
+            and np.array_equal(
+                program.disp_gather[lo:hi], program.tok_off[src[sl]] + tok[sl]
+            )
+        ):
+            raise AssertionError(f"fused canonical order disagrees with plan at dest {d}")
+    if int(program.dest_off[-1]) != plan.total_assignments:
+        raise AssertionError("fused canonical slots do not cover the plan")
+    # The first fold pass reads each partial group's first fold slot.
+    starts = program.l1_passes[0][1] if program.l1_passes else np.zeros(0, np.int64)
+    first = program.fold_pft_rows[starts]
+    start = 0
+    for r in range(len(pfts)):
+        expected = np.asarray(plan.partial_token[r], dtype=np.int64)
+        stop = start + expected.size
+        if not (
+            np.array_equal(tok[first[start:stop]], expected)
+            and bool(np.all(src[first[start:stop]] == r))
+        ):
+            raise AssertionError(f"fused partial groups disagree with plan at source {r}")
+        start = stop
+    if not start == first.size == program.num_groups:
+        raise AssertionError("fused partial groups do not cover the plan")

@@ -28,6 +28,7 @@ def test_docs_are_in_sync():
     checker.check_cli_docs(errors)
     checker.check_identifiers(errors)
     checker.check_example_coverage(errors)
+    checker.check_hop_table(errors)
     assert not errors, "doc-sync problems:\n" + "\n".join(errors)
 
 
@@ -106,3 +107,23 @@ def test_example_missing_from_tests_is_an_error():
     assert "examples/rbd_dispatch_demo.py" in missing
     assert "examples/quickstart.py" not in missing
     assert "examples/train_small_moe.py" not in missing
+
+
+def test_doctored_hop_table_row_is_an_error():
+    """A DESIGN hop-table row that disagrees with PLAN_SPECS on its op
+    pair, scope or append fails the check, naming the kind."""
+    checker = load_checker()
+    design = (SCRIPT.parents[1] / "DESIGN.md").read_text()
+    row = "| `rbd_s2_a2a` / `rbd_c1_a2a` | node | yes |"
+    assert row in design
+    for doctored in (
+        row.replace("| node |", "| group |"),
+        row.replace("| yes |", "| no |"),
+        row.replace("`rbd_c1_a2a`", "`rbd_c2_a2a`"),
+    ):
+        errors: list[str] = []
+        checker.check_hop_table(errors, design.replace(row, doctored))
+        assert len(errors) == 1 and "'rbd'" in errors[0], errors
+    errors = []
+    checker.check_hop_table(errors, design)
+    assert not errors

@@ -102,7 +102,7 @@ class TestPlanConstruction:
         group = world.world_group()
         empty = build_pft(4, np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2)), 8)
         tokens = [np.zeros((0, 6)) for _ in range(4)]
-        for kind in ("flat", "rbd"):
+        for kind in ("flat", "rbd", "hier"):
             disp = make_dispatcher(group, 8, kind=kind)
             out, plan = run_pipeline(
                 disp, tokens, [empty] * 4, np.zeros((8, 6, 3)), np.zeros((8, 3, 6)), 0
